@@ -3,21 +3,21 @@
 The paper stops at detection ("we do not address mitigation", §III fn.2)
 and cites ONOS Flood Defender [17] and the P4/5G IDS of [20] as the
 blueprint for closing the loop.  This package implements that loop over
-our data plane: flagged flows are traced back to their sources
-(:mod:`~repro.mitigation.traceback`), turned into drop/rate-limit rules
-(:mod:`~repro.mitigation.rules`), and enforced as switch ACL hooks
-(:mod:`~repro.mitigation.enforcement`).
+our data plane with one detect→mitigate driver:
 
-Two drivers exist on top of those primitives:
-
-* :class:`~repro.mitigation.engine.MitigationEngine` — the original
-  standalone escalation engine for live DES demos;
 * :class:`~repro.mitigation.controller.MitigationController` — the
-  fault-tolerant control plane: configurable threshold rules, durable
+  fault-tolerant control plane: configurable threshold rules over
+  flagged flows (flow tier, swept at cycle boundaries), alert-episode
+  escalation (episode tier, via
+  :class:`repro.controlplane.bridge.EpisodeBridge`), durable
   auto-expiring blocks with whitelist precedence, an operator JSON
   command API, checkpointed state, and a canonical action log whose
   digest is byte-identical across shard counts, chaos, and worker-kill
   recovery.
+
+Its block targets become drop/rate-limit rules
+(:mod:`~repro.mitigation.rules`) enforced as switch ACL hooks
+(:mod:`~repro.mitigation.enforcement`) on every attached table.
 """
 
 from .controller import (
@@ -34,9 +34,7 @@ from .controller import (
     build_controller,
 )
 from .enforcement import AclTable, attach_acl
-from .engine import MitigationEngine, MitigationPolicy
-from .rules import FlowRule, RuleAction, RuleGenerator
-from .traceback import AttackSource, SourceTracker
+from .rules import FlowRule, RuleAction
 
 __all__ = [
     "AclTable",
@@ -47,8 +45,6 @@ __all__ = [
     "MitigationAction",
     "MitigationConfig",
     "MitigationController",
-    "MitigationEngine",
-    "MitigationPolicy",
     "RulesEngine",
     "ThresholdRule",
     "Whitelist",
@@ -56,7 +52,4 @@ __all__ = [
     "build_controller",
     "FlowRule",
     "RuleAction",
-    "RuleGenerator",
-    "AttackSource",
-    "SourceTracker",
 ]

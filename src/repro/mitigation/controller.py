@@ -950,12 +950,20 @@ class MitigationController:
         """
         self.on_cycle()  # flow-tier sweep of any final-drain stores
         self._lossy_recoveries += int(lossy)
-        entries = sorted(db.predictions, key=_ENTRY_ORDER)
-        if entries:
+        replay = self._episode_sink is not None and not self._inline_episodes
+        if replay:
+            entries = sorted(db.predictions, key=_ENTRY_ORDER)
+            last = entries[-1] if entries else None
+        else:
+            # Nothing replays the log, so only its canonically last
+            # entry is needed; reversed makes max() break (seq, key)
+            # ties toward the later entry, as the stable sort does.
+            last = max(reversed(db.predictions), key=_ENTRY_ORDER, default=None)
+        if last is not None:
             self._last_ts_ns = max(
-                self._last_ts_ns, int(entries[-1].ts_registered_ns)
+                self._last_ts_ns, int(last.ts_registered_ns)
             )
-        if self._episode_sink is not None and not self._inline_episodes:
+        if replay:
             new = entries[self._episode_pos:]
             self._episode_pos = len(entries)
             if new:

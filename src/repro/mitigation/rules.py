@@ -1,26 +1,27 @@
-"""Flow-rule generation (the Flood Defender pattern [17]).
+"""ACL rules (the Flood Defender pattern [17]).
 
 A :class:`FlowRule` matches on any subset of the five-tuple (wildcards
 allowed) plus an optional source prefix, and carries an action (drop or
-rate-limit) with an expiry.  The :class:`RuleGenerator` converts traced
-attack sources into rules, choosing match granularity by evidence:
+rate-limit) with an expiry.  The
+:class:`~repro.mitigation.controller.MitigationController` synthesizes
+them from its block targets, choosing match granularity by scope:
 
-* a single offending flow → exact five-tuple drop;
-* many flows from one host → source-host drop (scan/SlowLoris pattern);
-* many spoofed sources inside one prefix toward one destination port →
-  destination-port rate limit scoped to the prefix (flood pattern —
-  dropping by source is useless when sources are random).
+* a flagged flow → exact five-tuple rule;
+* a source-scoped threshold rule or a port-sweep episode → source-host
+  (/32) drop;
+* a service-flood episode → rate limit on the victim ``(dst, port,
+  proto)`` — dropping by source is useless when sources are spoofed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from repro.dataplane.packet import Packet
 
-__all__ = ["RuleAction", "FlowRule", "RuleGenerator"]
+__all__ = ["RuleAction", "FlowRule"]
 
 
 class RuleAction(Enum):
@@ -85,67 +86,3 @@ class FlowRule:
 
     def expired(self, now_ns: int) -> bool:
         return self.expires_ns is not None and now_ns >= self.expires_ns
-
-
-class RuleGenerator:
-    """Evidence-driven rule synthesis.
-
-    Parameters
-    ----------
-    host_flow_threshold : int
-        Flagged flows from one source host before escalating from
-        per-flow rules to a host-level drop.
-    spoof_source_threshold : int
-        Distinct flagged sources toward one (dst, port) before treating
-        the event as a spoofed flood and emitting a rate limit.
-    rule_ttl_ns : int
-        Lifetime of generated rules.
-    flood_rate_pps : float
-        Allowance for flood rate-limit rules.
-    """
-
-    def __init__(
-        self,
-        host_flow_threshold: int = 5,
-        spoof_source_threshold: int = 50,
-        rule_ttl_ns: int = 60_000_000_000,
-        flood_rate_pps: float = 100.0,
-    ) -> None:
-        if host_flow_threshold < 1 or spoof_source_threshold < 1:
-            raise ValueError("thresholds must be >= 1")
-        self.host_flow_threshold = int(host_flow_threshold)
-        self.spoof_source_threshold = int(spoof_source_threshold)
-        self.rule_ttl_ns = int(rule_ttl_ns)
-        self.flood_rate_pps = float(flood_rate_pps)
-
-    def flow_rule(self, key: tuple, now_ns: int, reason: str = "") -> FlowRule:
-        """Exact five-tuple drop for one flagged flow."""
-        src, dst, sport, dport, proto = key
-        return FlowRule(
-            src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-            protocol=proto, action=RuleAction.DROP,
-            expires_ns=now_ns + self.rule_ttl_ns,
-            reason=reason or "flagged flow",
-        )
-
-    def host_rule(self, src_ip: int, now_ns: int, n_flows: int) -> FlowRule:
-        """Source-host drop once one host accumulates many flagged flows."""
-        return FlowRule(
-            src_ip=src_ip, src_prefix_len=32, action=RuleAction.DROP,
-            expires_ns=now_ns + self.rule_ttl_ns,
-            reason=f"host with {n_flows} flagged flows",
-        )
-
-    def flood_rule(
-        self, dst_ip: int, dst_port: int, protocol: int,
-        prefix: Tuple[int, int], now_ns: int, n_sources: int,
-    ) -> FlowRule:
-        """Prefix-scoped rate limit for a spoofed-source flood."""
-        base, bits = prefix
-        return FlowRule(
-            src_ip=base, src_prefix_len=bits, dst_ip=dst_ip,
-            dst_port=dst_port, protocol=protocol,
-            action=RuleAction.RATE_LIMIT, rate_pps=self.flood_rate_pps,
-            expires_ns=now_ns + self.rule_ttl_ns,
-            reason=f"spoofed flood from {n_sources} sources",
-        )

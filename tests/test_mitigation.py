@@ -1,21 +1,35 @@
-"""Tests for the mitigation package (rules, traceback, enforcement, engine)."""
+"""Tests for the mitigation package: rules, enforcement, and the one
+detect→mitigate driver's path into the switch ACLs —
+``MitigationController(config, tables=[acl, ...])`` → ``AclTable.install``.
+"""
 
-import numpy as np
 import pytest
 
+from repro.controlplane import AlertManager, EpisodeBridge
 from repro.core.database import PredictionEntry
-from repro.dataplane import EventQueue, Packet, Protocol, Switch, int_path_topology
+from repro.dataplane import Packet, int_path_topology
 from repro.mitigation import (
     AclTable,
-    AttackSource,
     FlowRule,
-    MitigationEngine,
-    MitigationPolicy,
+    MitigationConfig,
+    MitigationController,
     RuleAction,
-    RuleGenerator,
-    SourceTracker,
+    ThresholdRule,
     attach_acl,
 )
+
+from .test_mitigation_controller import (
+    SEC,
+    SERVER,
+    StubDetector,
+    StubRecord,
+    entry,
+    flow_key,
+)
+
+#: canonical key of one attacker→SERVER:80 flow (service = lower-port side)
+KEY = flow_key(1)
+ATTACKER = KEY[1]
 
 
 def pkt(src=0x01020304, dst=0x0A0A0050, sport=1234, dport=80, proto=6):
@@ -56,68 +70,6 @@ class TestFlowRule:
             FlowRule(src_prefix_len=33)
         with pytest.raises(ValueError):
             FlowRule(action=RuleAction.RATE_LIMIT, rate_pps=0)
-
-
-class TestRuleGenerator:
-    def test_flow_rule_is_exact(self):
-        g = RuleGenerator()
-        r = g.flow_rule((1, 2, 3, 4, 6), now_ns=100)
-        assert (r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.protocol) == (1, 2, 3, 4, 6)
-        assert r.action is RuleAction.DROP
-        assert r.expires_ns == 100 + g.rule_ttl_ns
-
-    def test_flood_rule_rate_limits(self):
-        g = RuleGenerator(flood_rate_pps=50)
-        r = g.flood_rule(2, 80, 6, (0x01000000, 8), now_ns=0, n_sources=99)
-        assert r.action is RuleAction.RATE_LIMIT
-        assert r.rate_pps == 50
-        assert r.src_prefix_len == 8
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(ValueError):
-            RuleGenerator(host_flow_threshold=0)
-
-
-class TestSourceTracker:
-    def test_heavy_source_detection(self):
-        t = SourceTracker()
-        for port in range(10):
-            t.flag((7, 2, 40000 + port, 80, 6), now_ns=port)
-        heavy = t.heavy_sources(min_flows=5)
-        assert len(heavy) == 1
-        assert heavy[0].src_ip == 7
-        assert heavy[0].n_flows == 10
-
-    def test_duplicate_flags_counted_once(self):
-        t = SourceTracker()
-        t.flag((7, 2, 1, 80, 6), 0)
-        t.flag((7, 2, 1, 80, 6), 5)
-        assert t.sources[7].n_flows == 1
-        assert t.sources[7].last_seen_ns == 5
-
-    def test_flooded_service_detection(self):
-        t = SourceTracker(prefix_len=8)
-        for i in range(60):
-            t.flag((0x01000000 + i, 2, 1000 + i, 80, 6), now_ns=i)
-        flooded = t.flooded_services(min_sources=50)
-        assert len(flooded) == 1
-        (service, prefix, n) = flooded[0]
-        assert service == (2, 80, 6)
-        assert prefix == (0x01000000, 8)
-        assert n == 60
-
-    def test_below_threshold_not_flooded(self):
-        t = SourceTracker()
-        for i in range(10):
-            t.flag((100 + i, 2, 1, 80, 6), 0)
-        assert t.flooded_services(min_sources=50) == []
-
-    def test_forget_service(self):
-        t = SourceTracker()
-        for i in range(60):
-            t.flag((i, 2, 1, 80, 6), 0)
-        t.forget_service((2, 80, 6))
-        assert t.flooded_services(1) == []
 
 
 class TestAclTable:
@@ -181,59 +133,127 @@ class TestAttachAcl:
         assert topo.hosts["server"].received == 0
 
 
-def entry(key, decision=1, ts=0):
-    return PredictionEntry(key=key, ts_registered_ns=ts, wall_registered_ns=0,
-                           wall_predicted_ns=1, label=decision,
-                           votes=(decision,), final_decision=decision)
+def rule(name="hot", **kw):
+    kw.setdefault("ttl_ns", 30 * SEC)
+    return ThresholdRule(name=name, pps_above=100.0, **kw)
+
+
+def loop(*tables, rules=(rule(),), **config):
+    """A controller wired to ``tables`` and a stub detector."""
+    det = StubDetector()
+    ctrl = MitigationController(
+        MitigationConfig(rules=rules, **config), tables=tables
+    ).attach_to(det)
+    return det, ctrl
+
+
+def flag(det, key=KEY, ts=0, seq=0, decision=1):
+    """Store one decision for a 1000 pps flow."""
+    det.db.flows[key] = StubRecord(100, 6400, 0.1)
+    det.db.predictions.append(entry(key, ts, seq, decision))
+
+
+def flood(det, n=8):
+    """``n`` flagged flows from distinct sources toward SERVER:80."""
+    for i in range(n):
+        flag(det, flow_key(i), ts=i * 1000, seq=i)
+
+
+class TestRuleGenerator:
+    """Block target → FlowRule synthesis (class names here and below are
+    the pre-controller ones, kept so the test ids stay stable)."""
+
+    def test_flow_rule_is_exact(self):
+        acl = AclTable()
+        det, ctrl = loop(acl)
+        flag(det, ts=100)
+        ctrl.on_cycle()
+        (r,) = acl.rules
+        assert (r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.protocol) == KEY
+        assert r.action is RuleAction.DROP
+        assert r.expires_ns == 100 + 30 * SEC
+
+    def test_flood_rule_rate_limits(self):
+        acl = AclTable()
+        det, ctrl = loop(acl, rules=(), episode_rate_pps=50.0)
+        EpisodeBridge(ctrl, alerts=AlertManager(server_ips={SERVER}))
+        flood(det)
+        ctrl.finish_run(det.db)
+        (r,) = acl.rules
+        assert r.action is RuleAction.RATE_LIMIT
+        assert r.rate_pps == 50
+        assert (r.dst_ip, r.dst_port, r.protocol) == (SERVER, 80, 6)
+        assert r.src_ip is None and r.src_port is None
+
+    def test_invalid_thresholds(self):
+        with pytest.raises(ValueError):
+            rule(ttl_ns=0)
+        with pytest.raises(ValueError):
+            rule(action="rate_limit", rate_pps=0.0)
+        _, ctrl = loop()
+        out = ctrl.command({"op": "set_config", "config": {
+            "rules": [{"name": "bad", "pps_above": 1.0, "ttl_ns": -5}]}})
+        assert not out["ok"] and "ttl_ns" in out["error"]
+        assert [r.name for r in ctrl.config.rules] == ["hot"]
 
 
 class TestMitigationEngine:
+    """Detector decisions → installed ACL rules."""
+
     def test_per_flow_rule_on_flag(self):
         acl = AclTable()
-        eng = MitigationEngine([acl])
-        rules = eng.on_decision(entry((1, 2, 3, 4, 6)))
-        assert len(rules) == 1
+        det, ctrl = loop(acl)
+        flag(det)
+        ctrl.on_cycle()
+        assert [a.verdict for a in ctrl.action_log] == ["installed"]
         assert acl.installed == 1
 
     def test_benign_decisions_ignored(self):
-        eng = MitigationEngine([AclTable()])
-        assert eng.on_decision(entry((1, 2, 3, 4, 6), decision=0)) == []
-        undecided = PredictionEntry((1, 2, 3, 4, 6), 0, 0, 1, 1, (1,), None)
-        assert eng.on_decision(undecided) == []
+        acl = AclTable()
+        det, ctrl = loop(acl)
+        flag(det, decision=0)
+        det.db.predictions.append(PredictionEntry(KEY, 0, 0, 1, 1, (1,), None))
+        ctrl.on_cycle()
+        assert ctrl.action_log == [] and acl.installed == 0
 
     def test_host_escalation(self):
-        eng = MitigationEngine(
-            [AclTable()], MitigationPolicy(host_flow_threshold=3)
-        )
+        acl = AclTable()
+        det, ctrl = loop(acl, rules=(rule("host", scope="source"),))
         for port in range(3):
-            eng.on_decision(entry((7, 2, 1000 + port, 80, 6), ts=port))
-        host_rules = [r for r in eng.rules_emitted if r.src_prefix_len == 32
-                      and r.dst_ip is None]
-        assert len(host_rules) == 1
-        assert host_rules[0].src_ip == 7
-        # no duplicate host rule on further flags
-        eng.on_decision(entry((7, 2, 2000, 80, 6), ts=9))
-        assert eng.stats()["hosts_blocked"] == 1
+            flag(det, (SERVER, 7, 80, 1000 + port, 6), port, port)
+        ctrl.on_cycle()
+        r = acl.rules[0]
+        assert (r.src_ip, r.src_prefix_len, r.dst_ip) == (7, 32, None)
+        assert r.action is RuleAction.DROP
+        # further flows of the host refresh the one block, never duplicate it
+        assert ctrl.stats()["active_blocks"] == 1
+        assert ctrl.counters["rules_installed"] == 1
+        assert ctrl.counters["rules_refreshed"] == 2
 
     def test_flood_escalation(self):
-        eng = MitigationEngine(
-            [AclTable()],
-            MitigationPolicy(spoof_source_threshold=20, per_flow_rules=False),
-        )
-        for i in range(25):
-            eng.on_decision(entry((0x01000000 + i, 2, 1000 + i, 80, 6), ts=i))
-        limits = [r for r in eng.rules_emitted
-                  if r.action is RuleAction.RATE_LIMIT]
-        assert len(limits) == 1
+        acl = AclTable()
+        det, ctrl = loop(acl)
+        EpisodeBridge(ctrl, alerts=AlertManager(server_ips={SERVER}))
+        flood(det, n=25)
+        ctrl.finish_run(det.db)
+        # 25 per-flow drops, and the service is escalated exactly once
+        limits = [r for r in acl.rules if r.action is RuleAction.RATE_LIMIT]
+        assert acl.installed == 26 and len(limits) == 1
         assert limits[0].dst_port == 80
-        assert eng.stats()["services_rate_limited"] == 1
+        assert ctrl.counters["episode_escalations"] == 1
 
     def test_rules_fan_out_to_all_tables(self):
         a, b = AclTable(), AclTable()
-        eng = MitigationEngine([a, b])
-        eng.on_decision(entry((1, 2, 3, 4, 6)))
+        det, ctrl = loop(a, b)
+        flag(det)
+        ctrl.on_cycle()
         assert a.installed == b.installed == 1
+        assert a.rules == b.rules
 
-    def test_needs_tables(self):
-        with pytest.raises(ValueError):
-            MitigationEngine([])
+    def test_whitelisted_attacker_logged_not_installed(self):
+        acl = AclTable()
+        det, ctrl = loop(acl, whitelist=((ATTACKER, 32),))
+        flag(det)
+        ctrl.on_cycle()
+        assert [a.verdict for a in ctrl.action_log] == ["whitelisted"]
+        assert acl.installed == 0 and ctrl.blocks.entries == {}

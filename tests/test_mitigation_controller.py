@@ -14,7 +14,9 @@ Covers the pieces the closed loop's determinism contract rests on:
 * controller state survives a checkpoint round-trip bit-identically,
   and tampered/truncated blobs fail loudly (:class:`CheckpointError`);
 * the operator command API works mid-run, and non-canonical operations
-  (reads, unblock) never perturb the action-log digest.
+  (reads, unblock) never perturb the action-log digest;
+* ``finish_run`` ends in the same state whether or not an episode sink
+  makes it sort and replay the prediction log.
 """
 
 import numpy as np
@@ -523,6 +525,54 @@ class TestCommandAPI:
         hot_flow(det, 2, ts=SEC, seq=1)
         ctrl.on_cycle()
         assert len(ctrl.action_log) == 1  # disabled rule stopped firing
+
+
+# ---------------------------------------------------------------------------
+# finish_run: sink replay (sorted log) == no sink (one max() over the log)
+# ---------------------------------------------------------------------------
+class TestFinishRun:
+    @staticmethod
+    def finish(log, sink=None, attach=True):
+        """Store ``(flow, ts, seq)`` entries, then end the run.
+        ``attach=False`` is the coordinator's view after ``absorb_run``:
+        no flow tier here, so only finish_run reads the log."""
+        det = StubDetector()
+        ctrl = MitigationController(ONE_RULE)
+        if attach:
+            ctrl.attach_to(det)
+        if sink is not None:
+            ctrl.set_episode_sink(sink)
+        for i, ts, seq in log:
+            hot_flow(det, i, ts, seq)
+        ctrl.finish_run(det.db)
+        return ctrl
+
+    @given(
+        log=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 100 * SEC),
+                      st.integers(0, 5)),
+            max_size=30,
+        ),
+        attach=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_noop_sink_changes_nothing(self, log, attach):
+        bare = self.finish(log, None, attach)
+        replayed = []
+        sunk = self.finish(log, replayed.extend, attach)
+        assert len(replayed) == len(log)
+        assert sunk._last_ts_ns == bare._last_ts_ns
+        assert sunk.blocks.state_snapshot() == bare.blocks.state_snapshot()
+        assert sunk.stats() == bare.stats()
+        assert sunk.action_log_digest() == bare.action_log_digest()
+
+    def test_seq_key_tie_resolves_to_later_entry(self):
+        """Entries equal on (seq, key): the stable sort ends on the one
+        later in log order, and so must the sort-free path."""
+        log = [(1, 5 * SEC, 0), (1, 2 * SEC, 0)]
+        sunk = self.finish(log, lambda entries: None, attach=False)
+        assert self.finish(log, attach=False)._last_ts_ns == 2 * SEC
+        assert sunk._last_ts_ns == 2 * SEC
 
 
 # ---------------------------------------------------------------------------
