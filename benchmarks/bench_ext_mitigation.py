@@ -84,7 +84,7 @@ def _run(bundle, mitigate):
     ).schedule(_workload(seed=31))
     while topo.events.peek_time() is not None:
         topo.run(max_events=2000)
-        detector.live_cycle(budget=512)
+        detector.step(budget=512)
     detector.finish()
     return server.received, acl, controller
 

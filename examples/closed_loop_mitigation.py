@@ -96,7 +96,7 @@ def run(mitigate: bool):
     peeked = False
     while topo.events.peek_time() is not None:
         topo.run(max_events=2000)
-        detector.live_cycle(budget=512)
+        detector.step(budget=512)
         if mitigate and not peeked and controller.counters["rules_installed"]:
             # operator control surface, mid-run: inspect, then tighten
             # the episode rate limit on the fly

@@ -143,21 +143,19 @@ class CentralServer:
         self,
         max_updates: Optional[int] = None,
         deadline_ns: Optional[int] = None,
-        batched: Optional[bool] = None,
     ) -> int:
         """Run one coordination round; returns updates polled.
 
-        ``deadline_ns`` overrides the instance budget for this cycle;
-        ``batched`` overrides the instance dispatch mode.  Batched
-        dispatch materializes one feature matrix for the polled batch
-        and calls every panel member once per cycle; the scalar mode
-        predicts update-by-update (the paper-faithful loop).
+        ``deadline_ns`` overrides the instance budget for this cycle.
+        A ``batched`` server materializes one feature matrix for the
+        polled batch and calls every panel member once per cycle; the
+        scalar mode predicts update-by-update (the paper-faithful loop).
         """
         self.cycles += 1
         budget = deadline_ns if deadline_ns is not None else self.deadline_ns
         started = self.clock() if budget is not None else 0
         updates = self._poll(max_updates)
-        if batched if batched is not None else self.batched:
+        if self.batched:
             return self._dispatch_batched(updates, budget, started)
         for i, (key, ts_sim, wall_reg, seq) in enumerate(updates):
             if budget is not None and self.clock() - started > budget:
@@ -256,7 +254,12 @@ class CentralServer:
             self.watchdog.healthy("central")
         return n
 
-    def drain(self, batch: int = 512, max_cycles: int = 1_000_000) -> int:
+    def drain(
+        self,
+        batch: int = 512,
+        max_cycles: int = 1_000_000,
+        on_round: Optional[Callable[[], None]] = None,
+    ) -> int:
         """Run cycles until no more updates can be processed.
 
         Updates belonging to flows that never received a second packet
@@ -264,14 +267,18 @@ class CentralServer:
         poll per §III-3 and stay pending forever; the drain stops when a
         cycle makes no progress, not when the pending count hits zero.
         Shed updates count as progress (they were polled), so a drain
-        under a too-tight deadline still terminates.
+        under a too-tight deadline still terminates.  ``on_round`` is
+        called after every productive round (a shard worker's liveness
+        ping through a long final backlog).
         """
         total = 0
         for _ in range(max_cycles):
             done = self.cycle(max_updates=batch)
-            total += done
             if done == 0:
                 break
+            total += done
+            if on_round is not None:
+                on_round()
         return total
 
     # ------------------------------------------------------------------

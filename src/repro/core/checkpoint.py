@@ -164,7 +164,7 @@ def snapshot_detector(
         "processor": det.processor.state_snapshot(),
         "prediction": det.prediction.state_snapshot(),
         "central": det.central.state_snapshot(),
-        "collection": det._collection_inner.state_snapshot(),
+        "collection": det.collection.state_snapshot(),
         "watchdog": det.watchdog.state_snapshot(),
     }
     if det.fault_injector is not None:
@@ -211,7 +211,7 @@ def restore_detector(det: "AutomatedDDoSDetector", blob: bytes) -> Dict[str, Any
     det.processor.state_restore(payload["processor"])
     det.prediction.state_restore(payload["prediction"])
     det.central.state_restore(payload["central"])
-    det._collection_inner.state_restore(payload["collection"])
+    det.collection.state_restore(payload["collection"])
     det.watchdog.state_restore(payload["watchdog"])
     if det.fault_injector is not None and "fault_injector" in payload:
         det.fault_injector.state_restore(payload["fault_injector"])

@@ -1,7 +1,9 @@
 """The assembled automated DDoS detection mechanism (Fig 2).
 
 :class:`AutomatedDDoSDetector` wires the four modules around the shared
-database and provides the two execution modes used by the experiments:
+database and owns the one cycle engine — ``step`` (a poll boundary),
+``drain``/``finish`` (the end-of-stream tail), ``walk`` (the slice walk)
+— that both execution modes used by the experiments drive:
 
 * :meth:`run_stream` — the testbed mode (§IV-C): telemetry records are
   consumed in capture order, interleaving packet registration with
@@ -10,7 +12,7 @@ database and provides the two execution modes used by the experiments:
   and backlog dynamics reproduce the Table VI latency profile.
 * :meth:`attach_live` — fully-live mode: subscribes to an
   :class:`~repro.int_telemetry.collector.IntCollector` while a discrete-
-  event simulation is running; useful for end-to-end demos.
+  event simulation is running; the caller interleaves ``step`` calls.
 
 Scoring helpers convert the stored predictions + ground-truth labels
 into the per-attack-type rows of Table VI.
@@ -179,21 +181,19 @@ class AutomatedDDoSDetector:
             clock=clock,
             batched=batched,
         )
+        # Always the collection module: a fault injector fronts it only
+        # on the scalar ``feed_record`` path (``walk`` transforms slices).
         if source == "int":
-            inner = IntDataCollection(self.processor)
+            self.collection = IntDataCollection(self.processor)
         elif source == "sflow":
-            inner = SFlowDataCollection(self.processor)
+            self.collection = SFlowDataCollection(self.processor)
         else:
             raise ValueError(f"unknown telemetry source: {source!r}")
-        self._collection_inner = inner
+        self.fault_injector: Optional[FaultInjector] = None
         if chaos is not None and not chaos.is_noop:
-            self.fault_injector: Optional[FaultInjector] = FaultInjector(
-                chaos, inner=inner, seed=chaos_seed
+            self.fault_injector = FaultInjector(
+                chaos, inner=self.collection, seed=chaos_seed
             )
-            self.collection = self.fault_injector
-        else:
-            self.fault_injector = None
-            self.collection = inner
         self.source = source
 
     def _on_quarantine(self, name: str, reason: str, n_active: int) -> None:
@@ -227,12 +227,73 @@ class AutomatedDDoSDetector:
         """Picklable construction recipe for shard workers."""
         return dict(self._worker_config)
 
+    def step(self, budget: int = 128) -> int:
+        """One poll boundary: window tick, CentralServer round, mitigation
+        flow tier.  The only place that order is written — both
+        ``run_stream`` loops, a shard worker's CYCLE frame and live
+        callers all come here.  Returns the updates polled."""
+        if self.sketch_gate is not None:
+            self.sketch_gate.end_window()
+        done = self.central.cycle(max_updates=budget)
+        if self.mitigation is not None:
+            self.mitigation.on_cycle()
+        return done
+
+    def drain(
+        self, budget: int = 512, on_round: Optional[Callable[[], None]] = None
+    ) -> int:
+        """End-of-stream tail: cycle until the backlog stops moving
+        (``on_round`` after every productive round), then one mitigation
+        sweep of what that stored.  No window tick: no slice ended."""
+        done = self.central.drain(batch=budget, on_round=on_round)
+        if self.mitigation is not None:
+            self.mitigation.on_cycle()
+        return done
+
+    def finish(self, budget: int = 512) -> FlowDatabase:
+        """:meth:`drain`, then the mitigation episode pass; returns the
+        database."""
+        self.drain(budget)
+        if self.mitigation is not None:
+            self.mitigation.finish_run(self.db)
+        return self.db
+
+    def walk(
+        self,
+        records: np.ndarray,
+        poll_every: int,
+        deliver: Callable[[np.ndarray, bool], None],
+        swap: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        """The one slice walk.  Each ``poll_every`` slice goes through
+        the fault injector (if any) and its *delivered* rows to
+        ``deliver(delivered, boundary)`` — ``boundary`` marks a full
+        slice, where a cycle is due and the lifecycle manager (if any)
+        checks drift, handing a decided panel swap to ``swap``.  Reports
+        the injector still holds at the end form a last non-boundary
+        slice.  Faults and drift windows are thus a property of the
+        stream: in-process loop and sharded coordinator differ only in
+        ``deliver``."""
+        for start in range(0, records.shape[0], poll_every):
+            chunk = records[start : start + poll_every]
+            delivered = (
+                self.fault_injector.transform_batch(chunk)
+                if self.fault_injector is not None else chunk
+            )
+            boundary = chunk.shape[0] == poll_every
+            deliver(delivered, boundary)
+            if boundary and self.lifecycle is not None:
+                cmd = self.lifecycle.on_slice(delivered)
+                if cmd is not None and swap is not None:
+                    swap(cmd)
+        if self.fault_injector is not None:
+            deliver(self.fault_injector.transform_flush(records.dtype), False)
+
     def run_stream(
         self,
         records: np.ndarray,
         poll_every: int = 64,
         cycle_budget: int = 128,
-        batched: Optional[bool] = None,
         shards: Optional[int] = None,
         checkpoint_every: int = 16,
         replay_buffer_records: Optional[int] = None,
@@ -243,15 +304,15 @@ class AutomatedDDoSDetector:
     ) -> FlowDatabase:
         """Consume a telemetry record array in capture order.
 
-        Every ``poll_every`` registrations, one CentralServer cycle runs
-        with ``cycle_budget`` updates of capacity; a final drain flushes
-        the backlog.  Returns the database holding all predictions.
+        Every ``poll_every`` registrations, one :meth:`step` runs with
+        ``cycle_budget`` updates of capacity; :meth:`finish` flushes the
+        backlog.  Returns the database holding all predictions.
 
-        ``batched`` overrides the construction-time mode for this run.
-        The batched mode feeds ``poll_every``-sized record slices
-        through the vectorized ingest and cycles after each full slice —
-        the same cadence as the scalar per-record loop, so poll
-        boundaries (and everything downstream of them) line up exactly.
+        A ``batched`` detector feeds ``poll_every``-sized record slices
+        (:meth:`walk`) through the vectorized ingest and steps after
+        each full slice — the same cadence as the scalar per-record
+        loop (the oracle of the batch-equivalence suite), so poll
+        boundaries and everything downstream of them line up exactly.
 
         ``shards=N`` switches to the shard-parallel mode: telemetry is
         partitioned by canonical-flow hash across ``N`` worker
@@ -287,70 +348,33 @@ class AutomatedDDoSDetector:
                 max_respawns=max_respawns,
                 ring_capacity=ring_capacity,
             )
-        if batched is not None:
-            self.central.batched = bool(batched)
-        if self.lifecycle is not None and not self.central.batched:
+        if self.central.batched:
+
+            def deliver(delivered: np.ndarray, boundary: bool) -> None:
+                if delivered.shape[0]:
+                    self.collection.feed_batch(delivered)
+                if boundary:
+                    self.step(cycle_budget)
+
+            self.walk(records, poll_every, deliver)
+            return self.finish(cycle_budget)
+        if self.lifecycle is not None:
             raise ValueError(
                 "the lifecycle manager requires the batched run mode "
                 "(drift windows are cut at CYCLE slice boundaries)"
             )
-        if self.central.batched:
-            # With a lifecycle manager the loop needs the *delivered*
-            # (post-chaos) records of each slice: faults are applied on
-            # the coordinator side via transform_batch — the exact same
-            # RNG walk feed_batch performs — and the delivered slice is
-            # both ingested and handed to the drift monitor.  This is
-            # what the sharded coordinator does too, so drift windows
-            # (and any swap they trigger) are identical for any worker
-            # count.
-            lifecycle_transform = (
-                self.lifecycle is not None and self.fault_injector is not None
-            )
-            for start in range(0, records.shape[0], poll_every):
-                chunk = records[start : start + poll_every]
-                if lifecycle_transform:
-                    assert self.fault_injector is not None
-                    delivered = self.fault_injector.transform_batch(chunk)
-                    self._collection_inner.feed_batch(delivered)
-                else:
-                    delivered = chunk
-                    self.collection.feed_batch(chunk)
-                if chunk.shape[0] == poll_every:
-                    if self.sketch_gate is not None:
-                        self.sketch_gate.end_window()
-                    self.central.cycle(max_updates=cycle_budget)
-                    if self.mitigation is not None:
-                        self.mitigation.on_cycle()
-                    if self.lifecycle is not None:
-                        self.lifecycle.on_slice(delivered)
-            if self.fault_injector is not None:
-                if lifecycle_transform:
-                    tail = self.fault_injector.transform_flush()
-                    if tail.shape[0]:
-                        self._collection_inner.feed_batch(tail)
-                else:
-                    self.fault_injector.flush(batched=True)
-            self.central.drain(batch=cycle_budget)
-            if self.mitigation is not None:
-                self.mitigation.finish_run(self.db)
-            return self.db
+        feed = self.fault_injector or self.collection
         for i in range(records.shape[0]):
-            self.collection.feed_record(records[i])
+            feed.feed_record(records[i])
             if (i + 1) % poll_every == 0:
-                if self.sketch_gate is not None:
-                    self.sketch_gate.end_window()
-                self.central.cycle(max_updates=cycle_budget)
-                if self.mitigation is not None:
-                    self.mitigation.on_cycle()
+                self.step(cycle_budget)
         if self.fault_injector is not None:
             self.fault_injector.flush()  # release held (reordered) reports
-        self.central.drain(batch=cycle_budget)
-        if self.mitigation is not None:
-            self.mitigation.finish_run(self.db)
-        return self.db
+        return self.finish(cycle_budget)
 
     def attach_live(self, collector: IntCollector) -> None:
-        """Subscribe the collection module to a live INT collector."""
+        """Subscribe the collection module to a live INT collector; the
+        caller interleaves :meth:`step` and ends with :meth:`finish`."""
         if self.source != "int":
             raise RuntimeError("live attachment requires the INT source")
         if self.fault_injector is not None:
@@ -358,25 +382,7 @@ class AutomatedDDoSDetector:
                 "chaos injection supports replay mode only; attach the "
                 "FaultInjector to a record stream instead"
             )
-        self._collection_inner.subscribe(collector)
-
-    def live_cycle(self, budget: int = 128) -> int:
-        """One CentralServer round (callers interleave with sim slices)."""
-        if self.sketch_gate is not None:
-            self.sketch_gate.end_window()
-        done = self.central.cycle(max_updates=budget)
-        if self.mitigation is not None:
-            self.mitigation.on_cycle()
-        return done
-
-    def finish(self, budget: int = 512) -> FlowDatabase:
-        """Drain remaining updates and return the database."""
-        if self.fault_injector is not None:
-            self.fault_injector.flush()
-        self.central.drain(batch=budget)
-        if self.mitigation is not None:
-            self.mitigation.finish_run(self.db)
-        return self.db
+        self.collection.subscribe(collector)
 
     # ------------------------------------------------------------------
     # observability
@@ -389,10 +395,9 @@ class AutomatedDDoSDetector:
         quarantined panel members, injected telemetry faults — alongside
         the ordinary throughput counters.
         """
-        inner = self._collection_inner
-        consumed = getattr(inner, "reports_consumed", None)
+        consumed = getattr(self.collection, "reports_consumed", None)
         if consumed is None:
-            consumed = getattr(inner, "samples_consumed", 0)
+            consumed = getattr(self.collection, "samples_consumed", 0)
         out: Dict[str, object] = {
             "reports_consumed": consumed,
             "packets_processed": self.processor.packets_processed,

@@ -480,17 +480,10 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
             if kind == FRAME_DATA:
                 continue
             if kind == FRAME_CYCLE:
-                # Window tick BEFORE the cycle, matching the
-                # single-process run_stream ordering, so sketch decay
-                # cadence is identical across execution modes.
-                if det.sketch_gate is not None:
-                    det.sketch_gate.end_window()
-                det.central.cycle(max_updates=cycle_budget)
-                if det.mitigation is not None:
-                    # Flow-tier sweep before the result/checkpoint sends
-                    # so snapshots are self-consistent (flow cursor,
-                    # action log and predictions aligned).
-                    det.mitigation.on_cycle()
+                # The engine's mitigation sweep precedes the result/
+                # checkpoint sends below, so snapshots are self-consistent
+                # (flow cursor, action log and predictions aligned).
+                det.step(cycle_budget)
                 cycles_done += 1
                 if raise_at and cycles_done == raise_at:
                     raise RuntimeError(
@@ -508,12 +501,10 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
                     blob = snapshot_detector(det, cycles_done, last_seq)
                     conn.send(("checkpoint", cycles_done, last_seq, blob))
             else:  # FRAME_EOF
-                # Manual drain (cycle until no progress) so liveness
-                # pings keep flowing through a long final backlog.
-                while det.central.cycle(max_updates=cycle_budget) > 0:
-                    conn.send(("hb", cycles_done))
-                if det.mitigation is not None:
-                    det.mitigation.on_cycle()
+                # Liveness pings flow through a long final backlog.
+                det.drain(
+                    cycle_budget, lambda: conn.send(("hb", cycles_done))
+                )
                 break
         actions = (
             list(det.mitigation.action_log)
@@ -1147,14 +1138,14 @@ def run_sharded(
 ) -> FlowDatabase:
     """Fan a record stream out over ``n_shards`` supervised workers.
 
-    The coordinator walks the original stream in ``poll_every`` slices —
-    the same slicing as the single-process batched loop — applying the
-    detector's fault injector (if any) to each slice, assigning global
-    sequence numbers to the delivered rows, partitioning them by
-    canonical-key hash, and pushing each partition into its worker's
-    ring.  Slice boundaries become CYCLE markers on *every* ring; EOF
-    follows the final flush.  Results merge into ``detector.db`` sorted
-    by ``(seq, shard)``; per-worker stats land on
+    The coordinator drives the detector's own slice walk
+    (:meth:`AutomatedDDoSDetector.walk` — the loop the single-process
+    batched mode runs, fault injector and drift check included),
+    assigning global sequence numbers to the delivered rows,
+    partitioning them by canonical-key hash, and pushing each partition
+    into its worker's ring.  Slice boundaries become CYCLE markers on
+    *every* ring; EOF follows the final flush.  Results merge into
+    ``detector.db`` sorted by ``(seq, shard)``; per-worker stats land on
     ``detector.shard_stats`` and supervision counters on
     ``detector.supervision_stats``.
 
@@ -1201,7 +1192,6 @@ def run_sharded(
     )
     try:
         sup.start()
-        injector = detector.fault_injector
         seq_base = 0
 
         def dispatch(kind: int, delivered: np.ndarray) -> None:
@@ -1211,32 +1201,21 @@ def run_sharded(
             seq_base += n
             sup.dispatch(kind, delivered, seqs)
 
-        lifecycle = getattr(detector, "lifecycle", None)
-        empty = records[:0]
-        for start in range(0, records.shape[0], poll_every):
-            chunk = records[start : start + poll_every]
-            delivered = (
-                injector.transform_batch(chunk) if injector is not None
-                else chunk
-            )
-            if chunk.shape[0] == poll_every:
+        def deliver(delivered: np.ndarray, boundary: bool) -> None:
+            if boundary:
                 # Slice + barrier travel as one CYCLE frame per shard.
                 dispatch(FRAME_CYCLE, delivered)
-                if lifecycle is not None:
-                    # Drift check on the same delivered slice the
-                    # single-process loop hands its manager; a swap
-                    # decided here broadcasts at this CYCLE boundary so
-                    # every shard switches before the next cycle.
-                    cmd = lifecycle.on_slice(delivered)
-                    if cmd is not None:
-                        sup.broadcast_swap(cmd.epoch, cmd.blob)
             elif delivered.shape[0]:
                 dispatch(FRAME_DATA, delivered)
-        if injector is not None:
-            flushed = injector.transform_flush()
-            if flushed.shape[0]:
-                dispatch(FRAME_DATA, flushed)
-        dispatch(FRAME_EOF, empty)
+
+        # The single-process loop's own walk (same chaos transform, same
+        # drift check); a swap decided at a boundary broadcasts right after
+        # its CYCLE frames, so every shard switches before the next cycle.
+        detector.walk(
+            records, poll_every, deliver,
+            swap=lambda cmd: sup.broadcast_swap(cmd.epoch, cmd.blob),
+        )
+        dispatch(FRAME_EOF, records[:0])
 
         shard_results = sup.collect()
         sup.join_all()

@@ -10,19 +10,20 @@ of those failure modes between the telemetry source and the
 collection module, driven by a declarative :class:`ChaosSchedule` and a
 seeded RNG so every chaos run is exactly reproducible.
 
-The injector has three modes sharing one fault pipeline:
+The injector has two run modes sharing one fault pipeline:
 
-* **streaming** — wrap a collection module (anything with
-  ``feed_record``) and interpose on every record, the way
-  :meth:`~repro.core.mechanism.AutomatedDDoSDetector.run_stream`
+* **scalar streaming** — wrap a collection module (anything with
+  ``feed_record``) and interpose on every record, the way the scalar
+  :meth:`~repro.core.mechanism.AutomatedDDoSDetector.run_stream` loop
   consumes telemetry;
-* **transform** — :meth:`FaultInjector.transform_batch` runs slices
-  through the same per-row pipeline but *returns* the delivered rows;
-  the sharded coordinator uses it to inject faults before partitioning
-  so fault replay is independent of the worker count;
-* **batch** — :meth:`FaultInjector.apply` transforms a whole record
-  array at once, for offline ablations that retrain on degraded
-  captures.
+* **batch transform** — :meth:`FaultInjector.transform_batch` runs
+  slices through the same per-row pipeline but *returns* the delivered
+  rows; the detector's slice walk uses it for the batched in-process
+  loop and the sharded coordinator alike, so fault replay is independent
+  of who ingests the stream.
+
+:meth:`FaultInjector.apply` additionally transforms a whole record array
+at once, for offline ablations that retrain on degraded captures.
 
 Per-report fault order: outage window → burst (Gilbert-Elliott) loss →
 uniform loss → field corruption → duplication → bounded reorder hold.
@@ -233,25 +234,6 @@ class FaultInjector:
             self.inner.feed_record(out_row)
         self._index += 1
 
-    def feed_batch(self, records: np.ndarray) -> None:
-        """Interpose on a record slice; forwards survivors as one batch.
-
-        The fault pipeline still runs row-by-row, so the RNG draw
-        sequence — and therefore every drop/corrupt/duplicate/reorder
-        decision — is identical to streaming the same rows through
-        :meth:`feed_record`.  Only the downstream hand-off is batched:
-        emissions are buffered in delivery order and forwarded with one
-        ``inner.feed_batch`` call per slice.
-        """
-        if self.inner is None:
-            raise RuntimeError("streaming mode needs an inner collection module")
-        rows: List[np.void] = []
-        for i in range(records.shape[0]):
-            for out_row, _ in self._step(records[i], self._index):
-                rows.append(out_row)
-            self._index += 1
-        self._forward_batch(rows, records.dtype)
-
     @staticmethod
     def _materialize(rows: List[np.void], dtype: np.dtype) -> np.ndarray:
         out = np.empty(len(rows), dtype=dtype)
@@ -259,28 +241,21 @@ class FaultInjector:
             out[i] = r
         return out
 
-    def _forward_batch(self, rows: List[np.void], dtype: np.dtype) -> None:
-        if not rows:
-            return
-        self.inner.feed_batch(self._materialize(rows, dtype))
-
     # ------------------------------------------------------------------
-    # transform mode (sharded coordinator)
+    # batch transform mode (the detector's slice walk)
     # ------------------------------------------------------------------
     def transform_batch(self, records: np.ndarray) -> np.ndarray:
         """Run a record slice through the fault pipeline and *return* the
         delivered rows instead of forwarding them downstream.
 
-        This is the sharded coordinator's mode: chaos must run on the
-        unified stream *before* partitioning, so the injected fault
-        sequence is a property of the run — not of the worker count —
-        and any shard layout replays the identical delivered stream.
-        The per-row ``_step`` walk is shared with :meth:`feed_batch`,
-        so the RNG draw sequence (and therefore every fault decision)
-        matches a single-process run of the same slices exactly.  No
-        inner module is required.
+        Chaos runs on the unified stream *before* any partitioning, so
+        the injected fault sequence is a property of the run — not of
+        the worker count — and any shard layout replays the identical
+        delivered stream.  The per-row ``_step`` walk is shared with
+        :meth:`feed_record`, so the RNG draw sequence (and therefore
+        every fault decision) matches a scalar run of the same rows
+        exactly.  No inner module is required.
         """
-        self._last_dtype = records.dtype
         rows: List[np.void] = []
         for i in range(records.shape[0]):
             for out_row, _ in self._step(records[i], self._index):
@@ -288,35 +263,17 @@ class FaultInjector:
             self._index += 1
         return self._materialize(rows, records.dtype)
 
-    def transform_flush(self) -> np.ndarray:
-        """Release held (reordered) reports as an array; the transform
-        counterpart of :meth:`flush`."""
-        released = self._drain()
-        dtype = getattr(self, "_last_dtype", None)
-        if dtype is None:
-            if not released:
-                raise RuntimeError(
-                    "transform_flush before any transform_batch: "
-                    "record dtype unknown"
-                )
-            dtype = released[0][0].dtype
-        return self._materialize([row for row, _ in released], dtype)
+    def transform_flush(self, dtype: np.dtype) -> np.ndarray:
+        """Release held (reordered) reports as an array of the stream's
+        ``dtype``; the transform counterpart of :meth:`flush`."""
+        return self._materialize([row for row, _ in self._drain()], dtype)
 
-    def flush(self, batched: bool = False) -> int:
-        """Release every held (reordered) report; returns the count.
-
-        With ``batched`` set, the released reports go downstream as one
-        ``feed_batch`` slice instead of per-record calls.
-        """
+    def flush(self) -> int:
+        """Release every held (reordered) report; returns the count."""
         released = self._drain()
-        if self.inner is not None and released:
-            if batched:
-                self._forward_batch(
-                    [row for row, _ in released], released[0][0].dtype
-                )
-            else:
-                for out_row, _ in released:
-                    self.inner.feed_record(out_row)
+        if self.inner is not None:
+            for out_row, _ in released:
+                self.inner.feed_record(out_row)
         return len(released)
 
     # ------------------------------------------------------------------

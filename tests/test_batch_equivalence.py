@@ -88,11 +88,10 @@ def run_detector(bundle, stream, batched, chaos=None, fast_poll=False,
         clock=counter_clock(),
         chaos=chaos,
         chaos_seed=123,
+        batched=batched,
         **kwargs,
     )
-    db = det.run_stream(
-        stream, poll_every=poll_every, cycle_budget=cycle_budget, batched=batched
-    )
+    db = det.run_stream(stream, poll_every=poll_every, cycle_budget=cycle_budget)
     return det, db
 
 
@@ -165,11 +164,10 @@ class TestRunStreamEquivalence:
         samples["ts_collector"] = stream["ts_report"]
         samples["ts_sample"] = stream["ts_report"] % 2**32
         det_s = AutomatedDDoSDetector(bundle, source="sflow", clock=counter_clock())
-        db_s = det_s.run_stream(samples, poll_every=37, cycle_budget=50,
-                                batched=False)
-        det_b = AutomatedDDoSDetector(bundle, source="sflow", clock=counter_clock())
-        db_b = det_b.run_stream(samples, poll_every=37, cycle_budget=50,
-                                batched=True)
+        db_s = det_s.run_stream(samples, poll_every=37, cycle_budget=50)
+        det_b = AutomatedDDoSDetector(bundle, source="sflow", clock=counter_clock(),
+                                      batched=True)
+        db_b = det_b.run_stream(samples, poll_every=37, cycle_budget=50)
         assert db_s.predictions == db_b.predictions
         assert_tables_equal(db_s.flows, db_b.flows)
 

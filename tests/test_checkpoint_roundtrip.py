@@ -237,7 +237,7 @@ def _run_slices(det, records, start_slice, end_slice, seq_base):
             chunk, seqs=np.arange(seq_base + lo, seq_base + hi, dtype=np.int64)
         )
         if hi - lo == POLL_EVERY:
-            det.central.cycle(max_updates=CYCLE_BUDGET)
+            det.step(CYCLE_BUDGET)
     return det
 
 
@@ -251,7 +251,7 @@ def test_detector_restore_mid_run_matches_uninterrupted(
 
     ref = AutomatedDDoSDetector(bundle, batched=True)
     _run_slices(ref, stream, 0, n_slices, 0)
-    ref.central.drain(batch=CYCLE_BUDGET)
+    ref.drain(CYCLE_BUDGET)
     want = prediction_log_digest(ref.db)
 
     first = AutomatedDDoSDetector(bundle, batched=True)
@@ -264,6 +264,6 @@ def test_detector_restore_mid_run_matches_uninterrupted(
     payload = restore_detector(second, blob)
     assert payload["cycles_done"] == cut_slice
     _run_slices(second, stream, cut_slice, n_slices, 0)
-    second.central.drain(batch=CYCLE_BUDGET)
+    second.drain(CYCLE_BUDGET)
     assert prediction_log_digest(second.db) == want
     assert len(second.db.predictions) == len(ref.db.predictions)
