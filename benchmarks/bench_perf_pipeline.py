@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.core import AutomatedDDoSDetector, pretrain
-from repro.core.database import PredictionEntry
 from repro.dataplane import EventQueue
 from repro.features import extract_features
 from repro.features.flow_table import FlowTable
@@ -243,26 +242,6 @@ def test_perf_rf_predict(benchmark):
     preds, mean_s = _timed(benchmark, model.predict, Xq)
     assert preds.shape == (N_PREDICT,)
     RATES["rf_predict"] = _rate(N_PREDICT, mean_s)
-
-
-def test_perf_prediction_entry_fast(benchmark):
-    """PredictionEntry.fast vs the generated frozen-dataclass init."""
-    args = ((1, 2, 3, 4, 6), 10, 20, 35, 1, (1, 0), 1)
-    loops = 10_000
-
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        PredictionEntry(*args)
-    init_s = time.perf_counter() - t0
-    RATES["entry_init"] = _rate(loops, init_s)
-
-    def run():
-        for _ in range(loops):
-            PredictionEntry.fast(*args)
-
-    _, mean_s = _timed(benchmark, run)
-    RATES["entry_fast"] = _rate(loops, mean_s)
-    assert PredictionEntry.fast(*args) == PredictionEntry(*args)
 
 
 @pytest.fixture(scope="module")

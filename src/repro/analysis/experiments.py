@@ -342,10 +342,8 @@ def run_testbed_study(
         )
         if name in rows:
             table6[name] = rows[name]
-        decided = [
-            e.final_decision for e in db.predictions if e.final_decision is not None
-        ]
-        decisions[name] = np.asarray(decided, dtype=np.int64)
+        final = db.predictions.rows["final"].astype(np.int64)
+        decisions[name] = final[final >= 0]
         true_labels[name] = 0 if name == "Benign" else 1
         mech_stats[name] = detector.stats()
     study = TestbedStudy(

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.database import PredictionEntry
+import numpy as np
+
+from repro.core.database import PredictionEntry, PredictionLog
 
 # Pipeline-health alert types are defined in repro.resilience.degradation
 # (they must not depend on repro.core, which this module imports) and
@@ -281,13 +283,14 @@ class AlertManager:
     def attach_to(self, detector) -> None:
         """Tap an AutomatedDDoSDetector's prediction stream."""
         db = detector.db
-        original = db.store_prediction
+        original = db.store_predictions
 
-        def wrapped(entry: PredictionEntry) -> None:
-            original(entry)
-            self.on_decision(entry)
+        def wrapped(block: np.ndarray) -> None:
+            original(block)
+            for entry in PredictionLog.decode(block):
+                self.on_decision(entry)
 
-        db.store_prediction = wrapped
+        db.store_predictions = wrapped
 
     @property
     def open_alerts(self) -> List[Alert]:

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Set, Tuple
 
-from repro.core.database import PredictionEntry
+import numpy as np
+
+from repro.core.database import PredictionEntry, PredictionLog
 
 from .alerts import Alert, AlertManager
 
@@ -100,13 +102,14 @@ class EpisodeBridge:
         self.inline = True
         self.controller.set_episode_sink(self.consume, inline=True)
         db = detector.db
-        original = db.store_prediction
+        original = db.store_predictions
 
-        def wrapped(entry: PredictionEntry) -> None:
-            original(entry)
-            self.consume([entry])
+        def wrapped(block: np.ndarray) -> None:
+            original(block)
+            for entry in PredictionLog.decode(block):
+                self.consume([entry])
 
-        db.store_prediction = wrapped
+        db.store_predictions = wrapped
         return self
 
     # ------------------------------------------------------------------

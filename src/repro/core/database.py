@@ -5,6 +5,14 @@ Stores exactly what the paper's database stores: one record per Flow ID
 plus the prediction log the Data Processor writes back (label, timestamp,
 prediction latency — steps ③ and ⑧ of Fig 2).
 
+The prediction log is one growable :data:`RESULT_DTYPE` structured array
+(:class:`PredictionLog`) — the same rows in process, in a shard worker,
+on the worker→coordinator pipe, in a checkpoint and after the sharded
+merge.  Writers hand it whole blocks through
+:meth:`FlowDatabase.store_predictions`; readers take columns.  A
+:class:`PredictionEntry` is only a frozen view of one row, decoded on
+demand when the log is indexed or iterated.
+
 The CentralServer "continuously communicates with the database to check
 whether there is an update in the records" (§III-3).  We model that poll
 faithfully: :meth:`poll_updates` *scans the resident flow records* for a
@@ -18,20 +26,44 @@ subject of an ablation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.features.batch import FlowBatch
 from repro.features.flow_table import FlowTable
 
-__all__ = ["FlowDatabase", "PredictionEntry"]
+__all__ = ["FlowDatabase", "PredictionEntry", "PredictionLog", "RESULT_DTYPE"]
+
+#: One prediction-log row: the flow key as five int64 columns, the
+#: telemetry and both wall stamps, the aggregated label, the per-model
+#: votes as a bitmask + count (bit ``b`` is model ``b``'s 0/1 vote),
+#: the windowed decision (-1 for the not-yet-decided ``None``), the
+#: delivered-stream seq and the serving panel epoch.
+RESULT_DTYPE = np.dtype([
+    ("k0", "i8"), ("k1", "i8"), ("k2", "i8"), ("k3", "i8"), ("k4", "i8"),
+    ("ts_registered_ns", "i8"),
+    ("wall_registered_ns", "i8"),
+    ("wall_predicted_ns", "i8"),
+    ("label", "i1"),
+    ("votes_mask", "u8"),
+    ("votes_n", "i1"),
+    ("final", "i1"),
+    ("seq", "i8"),
+    ("epoch", "i2"),
+])
+
+#: The flow-key columns of :data:`RESULT_DTYPE`, in key order.
+KEY_FIELDS = ("k0", "k1", "k2", "k3", "k4")
 
 
 @dataclass(frozen=True)
 class PredictionEntry:
-    """One aggregated prediction stored back into the database (step ⑧).
+    """Frozen view of one prediction-log row (step ⑧).
+
+    Handed out by indexing or iterating a :class:`PredictionLog`; the
+    log itself stores only :data:`RESULT_DTYPE` rows.
 
     ``seq`` is the update's position in the *delivered* telemetry stream
     (post-chaos, pre-shard): packet ``seq`` of the run produced this
@@ -65,40 +97,126 @@ class PredictionEntry:
         time of the packet's registration."""
         return self.wall_predicted_ns - self.wall_registered_ns
 
-    @classmethod
-    def fast(
-        cls,
-        key: tuple,
-        ts_registered_ns: int,
-        wall_registered_ns: int,
-        wall_predicted_ns: int,
-        label: int,
-        votes: tuple,
-        final_decision: Optional[int],
-        seq: int = -1,
-        epoch: int = 0,
-    ) -> "PredictionEntry":
-        """Construct without the frozen-dataclass ``__init__`` overhead.
 
-        The batched dispatch path builds one entry per update in a tight
-        loop; bypassing the generated ``__init__`` (which funnels every
-        field through ``object.__setattr__`` *and* a wrapper frame)
-        keeps entry construction visible-but-small in the pipeline
-        benchmarks.  Field semantics are identical to the normal
-        constructor.
-        """
-        self = object.__new__(cls)
-        d = self.__dict__
-        d["key"] = key
-        d["ts_registered_ns"] = ts_registered_ns
-        d["wall_registered_ns"] = wall_registered_ns
-        d["wall_predicted_ns"] = wall_predicted_ns
-        d["label"] = label
-        d["votes"] = votes
-        d["final_decision"] = final_decision
-        d["seq"] = seq
-        d["epoch"] = epoch
-        return self
+class PredictionLog:
+    """The prediction log: one growable :data:`RESULT_DTYPE` array.
+
+    ``rows`` is a view of the resident rows; columns are read straight
+    off it.  :meth:`trim` drops shipped rows off the front and advances
+    ``base``, so absolute stream position ``i`` is resident row
+    ``i - base`` (sharded workers trim every cycle, keeping worker
+    memory and checkpoints O(flows)).  Indexing and iteration decode
+    :class:`PredictionEntry` views; equality compares rows.
+    """
+
+    def __init__(self, rows: Optional[np.ndarray] = None, base: int = 0) -> None:
+        self._buf = np.empty(64, dtype=RESULT_DTYPE)
+        self._n = 0
+        self.base = int(base)
+        if rows is not None:
+            self.extend(rows)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[: self._n]
+
+    @property
+    def total(self) -> int:
+        """Rows stored over the log's life, trimmed ones included."""
+        return self.base + self._n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def extend(self, block: np.ndarray) -> None:
+        """Append a block of rows (amortized O(rows): the buffer doubles)."""
+        if block.dtype != RESULT_DTYPE:
+            raise TypeError(
+                f"prediction rows must be RESULT_DTYPE, not {block.dtype}"
+            )
+        m = int(block.shape[0])
+        if m == 0:
+            return
+        end = self._n + m
+        if end > self._buf.shape[0]:
+            grown = np.empty(max(end, 2 * self._buf.shape[0]), dtype=RESULT_DTYPE)
+            grown[: self._n] = self._buf[: self._n]
+            self._buf = grown
+        # Byte copy: same dtype, and a structured assignment costs
+        # microseconds of per-field dispatch on every (often tiny) block.
+        self._buf[self._n : end].view(np.uint8)[:] = (
+            np.ascontiguousarray(block).view(np.uint8)
+        )
+        self._n = end
+
+    def trim(self, n: int) -> None:
+        """Drop the oldest ``n`` resident rows in place, advancing
+        :attr:`base`."""
+        if n <= 0:
+            return
+        if n > self._n:
+            raise ValueError(
+                f"cannot trim {n} of {self._n} resident predictions"
+            )
+        rest = self._n - n
+        self._buf[:rest] = self._buf[n : self._n]
+        self._n = rest
+        self.base += n
+
+    def canonical_order(self) -> np.ndarray:
+        """Resident row indices in the canonical ``(seq, key)`` order —
+        a stable sort, so exact ties keep storage order.  The digest,
+        the episode replay and the epoch audit all read this order."""
+        rows = self.rows
+        return np.lexsort(
+            tuple(rows[f] for f in reversed(KEY_FIELDS)) + (rows["seq"],)
+        )
+
+    @staticmethod
+    def decode(block: np.ndarray) -> List[PredictionEntry]:
+        """The row decoder: :data:`RESULT_DTYPE` rows to entry views."""
+        keys = zip(*(block[f].tolist() for f in KEY_FIELDS))
+        vcache: Dict[Tuple[int, int], tuple] = {}
+        out: List[PredictionEntry] = []
+        for key, ts, wall_reg, wall_pred, label, mask, vn, final, seq, epoch in zip(
+            keys,
+            *(block[f].tolist() for f in (
+                "ts_registered_ns", "wall_registered_ns", "wall_predicted_ns",
+                "label", "votes_mask", "votes_n", "final", "seq", "epoch",
+            )),
+        ):
+            votes = vcache.get((mask, vn))
+            if votes is None:
+                votes = vcache[(mask, vn)] = tuple(
+                    (mask >> b) & 1 for b in range(vn)
+                )
+            out.append(PredictionEntry(
+                key, ts, wall_reg, wall_pred, label, votes,
+                None if final < 0 else final, seq, epoch,
+            ))
+        return out
+
+    def __getitem__(self, index: int) -> PredictionEntry:
+        return self.decode(self.rows[[index]])[0]
+
+    def chunks(self, order: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+        """The resident rows — in ``order`` if given — 4096 rows at a
+        time.  Readers that build Python objects per row go through
+        this, so their transient memory is one chunk, not the log."""
+        for start in range(0, self._n, 4096):
+            if order is None:
+                yield self.rows[start : start + 4096]
+            else:
+                yield self.rows[order[start : start + 4096]]
+
+    def __iter__(self) -> Iterator[PredictionEntry]:
+        for rows in self.chunks():
+            yield from self.decode(rows)
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, PredictionLog):
+            return NotImplemented
+        return self.rows.tobytes() == other.rows.tobytes()
 
 
 class FlowDatabase:
@@ -127,13 +245,7 @@ class FlowDatabase:
         # receive several packets between polls; each is one update).
         # Each stamp is ``(ts_sim_ns, wall_ns, seq)``.
         self._dirty: Dict[tuple, List[Tuple[int, int, int]]] = {}
-        self.predictions: List[PredictionEntry] = []
-        # Entries trimmed off the front of ``predictions`` (sharded
-        # workers stream each cycle's block to the coordinator and trim
-        # it locally, keeping worker memory and checkpoint size
-        # O(flows)).  Absolute position i of the run maps to
-        # ``predictions[i - predictions_base]``.
-        self.predictions_base = 0
+        self.predictions = PredictionLog()
         self.updates_registered = 0
         self.polls = 0
         self.records_scanned = 0
@@ -178,30 +290,21 @@ class FlowDatabase:
                 lst.append((ts_list[r], wall_ns[r], seq_list[r]))
         self.updates_registered += batch.n
 
-    def store_prediction(self, entry: PredictionEntry) -> None:
-        """Persist an aggregated prediction (step ⑧)."""
-        self.predictions.append(entry)
+    def store_predictions(self, block: np.ndarray) -> None:
+        """Persist a block of aggregated predictions (step ⑧)."""
+        self.predictions.extend(block)
 
     @property
     def predictions_total(self) -> int:
         """Total predictions stored over the run, including any the
         owner has trimmed after shipping them elsewhere."""
-        return self.predictions_base + len(self.predictions)
+        return self.predictions.total
 
     def trim_predictions(self, n: int) -> None:
-        """Drop the oldest ``n`` resident entries, advancing
-        :attr:`predictions_base`.  The caller owns durability of the
-        trimmed entries (the sharded worker has already streamed them
-        to the coordinator)."""
-        if n <= 0:
-            return
-        if n > len(self.predictions):
-            raise ValueError(
-                f"cannot trim {n} of {len(self.predictions)} resident "
-                "predictions"
-            )
-        del self.predictions[:n]
-        self.predictions_base += n
+        """Drop the oldest ``n`` resident rows of the log.  The caller
+        owns durability of the trimmed rows (the sharded worker has
+        already streamed them to the coordinator)."""
+        self.predictions.trim(n)
 
     # ------------------------------------------------------------------
     # CentralServer side (step ④)
@@ -264,8 +367,8 @@ class FlowDatabase:
         return {
             "flows": self.flows.state_snapshot(),
             "dirty": [(k, list(v)) for k, v in self._dirty.items()],
-            "predictions": list(self.predictions),
-            "predictions_base": self.predictions_base,
+            "predictions": self.predictions.rows.copy(),
+            "predictions_base": self.predictions.base,
             "updates_registered": self.updates_registered,
             "polls": self.polls,
             "records_scanned": self.records_scanned,
@@ -277,8 +380,9 @@ class FlowDatabase:
         the same recipe)."""
         self.flows.state_restore(state["flows"])
         self._dirty = {k: list(v) for k, v in state["dirty"]}
-        self.predictions = list(state["predictions"])
-        self.predictions_base = int(state.get("predictions_base", 0))
+        self.predictions = PredictionLog(
+            state["predictions"], base=state["predictions_base"]
+        )
         self.updates_registered = int(state["updates_registered"])
         self.polls = int(state["polls"])
         self.records_scanned = int(state["records_scanned"])
@@ -287,6 +391,7 @@ class FlowDatabase:
     def pending_updates(self) -> int:
         return sum(len(v) for v in self._dirty.values())
 
-    def latencies_ns(self) -> List[int]:
-        """All stored prediction latencies, in arrival order."""
-        return [p.latency_ns for p in self.predictions]
+    def latencies_ns(self) -> np.ndarray:
+        """All resident prediction latencies, in storage order."""
+        rows = self.predictions.rows
+        return rows["wall_predicted_ns"] - rows["wall_registered_ns"]

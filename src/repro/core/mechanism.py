@@ -34,7 +34,7 @@ from repro.traffic.trace import AttackType
 
 from .central import CentralServer
 from .collection import IntDataCollection, SFlowDataCollection
-from .database import FlowDatabase
+from .database import KEY_FIELDS, FlowDatabase
 from .latency import LatencyTracker
 from .prediction import PredictionModule
 from .processor import DataProcessor
@@ -496,14 +496,19 @@ def score_by_type(
     latency = LatencyTracker()
     correct: Dict[str, int] = {}
     total: Dict[str, int] = {}
-    for entry in db.predictions:
-        label_true, attack_type = truth(entry.key)
+    rows = db.predictions.rows
+    for key, latency_ns, final in zip(
+        zip(*(rows[f].tolist() for f in KEY_FIELDS)),
+        db.latencies_ns().tolist(),
+        rows["final"].tolist(),
+    ):
+        label_true, attack_type = truth(key)
         name = AttackType(attack_type).display
-        latency.record(name, entry.latency_ns)
-        if entry.final_decision is None:
+        latency.record(name, latency_ns)
+        if final < 0:
             continue
         total[name] = total.get(name, 0) + 1
-        if entry.final_decision == int(label_true):
+        if final == int(label_true):
             correct[name] = correct.get(name, 0) + 1
 
     out: Dict[str, dict] = {}

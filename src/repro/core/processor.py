@@ -11,7 +11,7 @@ window, and stores the result with its prediction latency (step ⑧).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,8 +20,10 @@ from repro.features.flow_record import FEATURE_ORDER, FlowRecord
 from repro.features.keys import key_hash_of_key
 from repro.sketch import SketchGate
 
-from .database import FlowDatabase, PredictionEntry
-from .ensemble import SlidingDecision, aggregate_votes
+from repro.ml.voting import majority_vote
+
+from .database import KEY_FIELDS, RESULT_DTYPE, FlowDatabase
+from .ensemble import SlidingDecision
 
 __all__ = ["DataProcessor"]
 
@@ -274,57 +276,52 @@ class DataProcessor:
         votes: np.ndarray,
         seq: int = -1,
         epoch: int = 0,
-    ) -> PredictionEntry:
-        """Aggregate model votes, apply the sliding window, store.
-
-        ``epoch`` is the model-panel generation that produced ``votes``
-        (stamped into the entry so hot-swap atomicity is auditable)."""
-        label = aggregate_votes(votes)
-        final = self.decision.push(key, label)
-        entry = PredictionEntry(
-            key=key,
-            ts_registered_ns=ts_sim_ns,
-            wall_registered_ns=wall_registered_ns,
-            wall_predicted_ns=self.clock(),
-            label=label,
-            votes=tuple(int(v) for v in votes),
-            final_decision=final,
-            seq=seq,
-            epoch=epoch,
+    ) -> None:
+        """Aggregate one update's model votes, apply the sliding window,
+        store the row (the scalar path: a one-row
+        :meth:`receive_predictions_batch`)."""
+        self.receive_predictions_batch(
+            [(key, ts_sim_ns, wall_registered_ns, seq)],
+            np.asarray(votes)[None, :],
+            epoch,
         )
-        self.db.store_prediction(entry)
-        return entry
 
     def receive_predictions_batch(
         self,
         updates: Sequence[Tuple[tuple, int, int, int]],
         votes: np.ndarray,
         epoch: int = 0,
-    ) -> List[PredictionEntry]:
-        """Batched :meth:`receive_predictions` for one dispatched cycle.
+    ) -> None:
+        """Aggregate, window and store one dispatched chunk as one
+        :data:`~repro.core.database.RESULT_DTYPE` block.
 
         ``votes`` is the ``(n_updates, n_active_models)`` 0/1 matrix
-        from :meth:`~repro.core.prediction.PredictionModule.predict_batch`.
-        Vote aggregation is vectorized across the batch and the per-vote
-        ``tuple(int(v) ...)`` conversion is hoisted into one
-        ``ndarray.tolist()`` call; the per-flow sliding windows are
-        still pushed in update order, so decision sequences match the
-        scalar path exactly.
+        from :meth:`~repro.core.prediction.PredictionModule.predict_batch`;
+        labels and vote bitmasks are computed column-wise and every
+        column is written straight into the block.  The per-flow
+        sliding windows are pushed in update order and the wall clock is
+        read once per update, in update order, so decisions and (under
+        an injected clock) wall stamps match any chunking of the same
+        updates.  ``epoch`` is the serving panel generation, stamped so
+        hot-swap atomicity is auditable.
         """
         votes = np.asarray(votes)
-        # Row-wise aggregate_votes: majority with ties flagged as attack.
-        labels = (votes.sum(axis=1) * 2 >= votes.shape[1]).astype(np.int64).tolist()
-        vote_rows = votes.tolist()
-        clock = self.clock
+        n_models = votes.shape[1]
+        labels = majority_vote(votes)
         push = self.decision.push
-        store = self.db.store_prediction
-        fast = PredictionEntry.fast
-        entries: List[PredictionEntry] = []
-        for (key, ts_sim, wall_reg, seq), label, row in zip(updates, labels, vote_rows):
-            final = push(key, label)
-            entry = fast(
-                key, ts_sim, wall_reg, clock(), label, tuple(row), final, seq, epoch
-            )
-            store(entry)
-            entries.append(entry)
-        return entries
+        finals = [push(u[0], label) for u, label in zip(updates, labels.tolist())]
+        clock = self.clock
+        block = np.empty(len(updates), dtype=RESULT_DTYPE)
+        block["wall_predicted_ns"] = [clock() for _ in range(len(updates))]
+        keys, ts_sim, wall_reg, seqs = zip(*updates)
+        for field, column in zip(KEY_FIELDS, zip(*keys)):
+            block[field] = column
+        block["ts_registered_ns"] = ts_sim
+        block["wall_registered_ns"] = wall_reg
+        block["label"] = labels
+        block["votes_mask"] = (votes & 1) @ (1 << np.arange(n_models))
+        block["votes_n"] = n_models
+        block["final"] = [-1 if final is None else final for final in finals]
+        block["seq"] = seqs
+        block["epoch"] = epoch
+        self.db.store_predictions(block)

@@ -34,9 +34,10 @@ consuming slots:
   exactly one CentralServer cycle per CYCLE frame.  That reproduces
   the single-process cycle cadence, so each flow sees the same
   sequence of (packets folded) → (poll) → (predict) transitions for
-  any worker count.  After the cycle the worker packs the predictions
-  it produced into one :data:`RESULT_DTYPE` block, ships it up the
-  pipe, and trims them from its in-memory log — so worker memory *and*
+  any worker count.  After the cycle the worker ships the resident
+  slice of its prediction log (:data:`~repro.core.database.RESULT_DTYPE`
+  rows, the same array it predicts into) up the pipe and trims it from
+  the log, so worker memory *and*
   checkpoint size stay O(flows) instead of O(stream);
 * ``FRAME_EOF``   — end of stream (always empty): the worker drains
   its backlog, ships the final result block, and exits;
@@ -81,11 +82,13 @@ bound) degrades *loudly*: the shard is marked FAILED on the watchdog,
 
 Determinism
 -----------
-The merged log is sorted by ``(seq, shard)``.  ``seq`` is the record's
+The merge concatenates the shards' rows and lexsorts them by
+``(seq, shard)`` straight into the coordinator's log — no row is
+decoded.  ``seq`` is the record's
 index in the delivered stream and every delivered record registers
 exactly one update, so the order is total and identical to the
 single-process run's — the shard-equivalence suite asserts byte-equal
-digests over the deterministic entry fields for shards ∈ {1, 2, 4},
+digests over the deterministic row fields for shards ∈ {1, 2, 4},
 clean and under chaos.  Wall-clock stamps are per-process and excluded
 from the digest (latency *measurement* still works per worker; latency
 *identity* across process boundaries is meaningless).
@@ -102,7 +105,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing as mp
 import select
-import operator
 import os
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
@@ -132,7 +134,7 @@ from .checkpoint import (
     snapshot_detector,
     unpack_panel,
 )
-from .database import FlowDatabase, PredictionEntry
+from .database import KEY_FIELDS, FlowDatabase, PredictionEntry, PredictionLog
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -143,152 +145,60 @@ __all__ = [
     "Supervisor",
     "run_sharded",
     "prediction_log_digest",
-    "pack_predictions",
     "unpack_predictions",
 ]
 
 _UINT8 = np.dtype(np.uint8)
 _SEQ_BYTES = 8  # one int64 per record in a frame's seq block
 
-#: Result-array schema a worker ships back: the deterministic
-#: PredictionEntry fields plus both wall stamps (for per-worker latency
-#: stats).  Votes travel as a bitmask + count; ``final`` uses -1 for the
-#: not-yet-decided ``None``.
-RESULT_DTYPE = np.dtype([
-    ("k0", "i8"), ("k1", "i8"), ("k2", "i8"), ("k3", "i8"), ("k4", "i8"),
-    ("ts_registered_ns", "i8"),
-    ("wall_registered_ns", "i8"),
-    ("wall_predicted_ns", "i8"),
-    ("label", "i1"),
-    ("votes_mask", "u8"),
-    ("votes_n", "i1"),
-    ("final", "i1"),
-    ("seq", "i8"),
-    ("epoch", "i2"),
-])
-
 
 # ---------------------------------------------------------------------------
-# prediction-log packing (worker → coordinator, and digests)
+# prediction-log rows (worker → coordinator, and digests)
 # ---------------------------------------------------------------------------
-_ENTRY_FIELDS = operator.attrgetter(
-    "key", "ts_registered_ns", "wall_registered_ns", "wall_predicted_ns",
-    "label", "votes", "final_decision", "seq", "epoch",
-)
-
-
-def pack_predictions(entries: List[PredictionEntry]) -> np.ndarray:
-    """Pack a prediction log into :data:`RESULT_DTYPE` rows.
-
-    Column-vectorized: one attrgetter call per entry, then whole-column
-    NumPy assignments — the worker packs one block per cycle on the hot
-    path, so per-row structured-array proxies are too slow here.
-    """
-    n = len(entries)
-    out = np.zeros(n, dtype=RESULT_DTYPE)
-    if n == 0:
-        return out
-    rows = [_ENTRY_FIELDS(e) for e in entries]
-    keys, ts, wall_reg, wall_pred, labels, votes, finals, seqs, epochs = zip(*rows)
-    karr = np.array(keys, dtype=np.int64)
-    out["k0"] = karr[:, 0]
-    out["k1"] = karr[:, 1]
-    out["k2"] = karr[:, 2]
-    out["k3"] = karr[:, 3]
-    out["k4"] = karr[:, 4]
-    out["ts_registered_ns"] = ts
-    out["wall_registered_ns"] = wall_reg
-    out["wall_predicted_ns"] = wall_pred
-    out["label"] = labels
-    # Vote tuples come from a tiny alphabet (panel size ≤ 8 in
-    # practice), so memoize the mask encoding per distinct tuple.
-    mcache: Dict[tuple, Tuple[int, int]] = {}
-    masks = np.zeros(n, dtype=np.uint64)
-    vns = np.zeros(n, dtype=np.int8)
-    for i, v in enumerate(votes):
-        enc = mcache.get(v)
-        if enc is None:
-            mask = 0
-            for b, bit in enumerate(v):
-                mask |= (int(bit) & 1) << b
-            enc = (mask, len(v))
-            mcache[v] = enc
-        masks[i] = enc[0]
-        vns[i] = enc[1]
-    out["votes_mask"] = masks
-    out["votes_n"] = vns
-    out["final"] = [-1 if f is None else int(f) for f in finals]
-    out["seq"] = seqs
-    out["epoch"] = epochs
-    return out
-
-
 def unpack_predictions(packed: np.ndarray) -> List[PredictionEntry]:
-    """Inverse of :func:`pack_predictions`.
-
-    Column-vectorized like its inverse: ``.tolist()`` per column (one C
-    loop each, yielding Python ints directly) and a memoized vote-mask
-    decode, instead of ~13 structured row-proxy accesses per entry.
-    """
-    n = int(packed.shape[0])
-    fast = PredictionEntry.fast
-    out: List[PredictionEntry] = []
-    if n == 0:
-        return out
-    k0 = packed["k0"].tolist()
-    k1 = packed["k1"].tolist()
-    k2 = packed["k2"].tolist()
-    k3 = packed["k3"].tolist()
-    k4 = packed["k4"].tolist()
-    ts = packed["ts_registered_ns"].tolist()
-    wall_reg = packed["wall_registered_ns"].tolist()
-    wall_pred = packed["wall_predicted_ns"].tolist()
-    labels = packed["label"].tolist()
-    masks = packed["votes_mask"].tolist()
-    vns = packed["votes_n"].tolist()
-    finals = packed["final"].tolist()
-    seqs = packed["seq"].tolist()
-    epochs = packed["epoch"].tolist()
-    vcache: Dict[Tuple[int, int], tuple] = {}
-    append = out.append
-    for i in range(n):
-        vkey = (masks[i], vns[i])
-        votes = vcache.get(vkey)
-        if votes is None:
-            mask, vn = vkey
-            votes = tuple((mask >> b) & 1 for b in range(vn))
-            vcache[vkey] = votes
-        final = finals[i]
-        append(fast(
-            (k0[i], k1[i], k2[i], k3[i], k4[i]),
-            ts[i],
-            wall_reg[i],
-            wall_pred[i],
-            labels[i],
-            votes,
-            None if final < 0 else final,
-            seqs[i],
-            epochs[i],
-        ))
-    return out
+    """Decode :data:`~repro.core.database.RESULT_DTYPE` rows into
+    :class:`PredictionEntry` views (the log's own row decoder).  Nothing
+    on the run path decodes: workers ship log rows and the merge keeps
+    them as rows."""
+    return PredictionLog.decode(packed)
 
 
 def prediction_log_digest(db: FlowDatabase) -> str:
     """SHA-256 over the run's *deterministic* prediction outcome.
 
-    Entries are canonically ordered by ``(seq, key)`` and serialized
-    over the fields that must agree across execution modes: flow key,
-    telemetry timestamp, label, votes, final decision, and seq.  Wall
-    stamps are excluded — they come from per-process clocks.  Two runs
-    are result-identical iff their digests match.
+    Rows are read column-wise in the log's canonical ``(seq, key)``
+    order and serialized over the fields that must agree across
+    execution modes — flow key, telemetry timestamp, label, votes,
+    final decision, and seq — one ``key|ts|label|votes|final|seq`` line
+    each, spelled as the Python tuples / ``None`` of the entry view.
+    Wall stamps are excluded — they come from per-process clocks.  Two
+    runs are result-identical iff their digests match.
     """
-    lines = []
-    for e in sorted(db.predictions, key=lambda e: (e.seq, e.key)):
-        lines.append(
-            f"{e.key}|{e.ts_registered_ns}|{e.label}|{e.votes}|"
-            f"{e.final_decision}|{e.seq}"
-        )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    log = db.predictions
+    columns = (*KEY_FIELDS, "ts_registered_ns", "label", "votes_mask",
+               "votes_n", "final", "seq")
+    votes_text: Dict[Tuple[int, int], str] = {}
+    digest = hashlib.sha256()
+    sep = ""
+    for rows in log.chunks(log.canonical_order()):
+        lines = []
+        for k0, k1, k2, k3, k4, ts, label, mask, n_votes, final, seq in zip(
+            *(rows[name].tolist() for name in columns)
+        ):
+            votes = votes_text.get((mask, n_votes))
+            if votes is None:
+                votes = votes_text[(mask, n_votes)] = str(
+                    tuple((mask >> b) & 1 for b in range(n_votes))
+                )
+            decided = None if final < 0 else final
+            lines.append(
+                f"({k0}, {k1}, {k2}, {k3}, {k4})|{ts}|{label}|{votes}|"
+                f"{decided}|{seq}"
+            )
+        # hashing the chunks' lines joined by "\n" == hashing all lines joined
+        digest.update((sep + "\n".join(lines)).encode())
+        sep = "\n"
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +267,9 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
 
     Pipe protocol (worker → coordinator, all tuples):
 
-    * ``("res", cycles_done, packed)`` — the predictions this cycle
-      produced, as one :data:`RESULT_DTYPE` block (``None`` for an
-      empty cycle); the worker trims shipped entries from its log.
+    * ``("res", cycles_done, rows)`` — the predictions this cycle
+      produced: the resident rows of the worker's log (``None`` for an
+      empty cycle), which the worker then trims.
       Sent after *every* CYCLE frame, so it doubles as the liveness
       heartbeat;
     * ``("hb", cycles_done)`` — extra liveness ping during the post-EOF
@@ -368,8 +278,8 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
       state snapshot, every ``checkpoint_every`` CYCLE frames (sent
       *after* that cycle's result block, so a restore from cycle *c*
       composes exactly with the blocks for cycles ``<= c``);
-    * ``("result", packed, stats, actions)`` — the final result block
-      (EOF-drain predictions) plus the shard's mitigation flow-tier
+    * ``("result", rows, stats, actions)`` — the final rows (EOF-drain
+      predictions) plus the shard's mitigation flow-tier
       action log (None when no mitigation subsystem is attached);
     * ``("error", msg)`` — best-effort last words before dying.
     """
@@ -434,15 +344,13 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
 
         Sent every cycle even when empty (``None`` payload): the message
         doubles as the liveness heartbeat, halving per-cycle pipe
-        traffic versus a separate ``hb`` send.
+        traffic versus a separate ``hb`` send.  The rows travel as they
+        sit in the log: the pipe pickles a copy before the trim.
         """
-        tail = db.predictions
-        if tail:
-            packed: Optional[np.ndarray] = pack_predictions(tail)
-            db.trim_predictions(len(tail))
-        else:
-            packed = None
-        conn.send(("res", cycles_done, packed))
+        resident = len(db.predictions)
+        conn.send(("res", cycles_done,
+                   db.predictions.rows if resident else None))
+        db.trim_predictions(resident)
 
     try:
         while True:
@@ -511,8 +419,7 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
             if det.mitigation is not None else None
         )
         conn.send(
-            ("result", pack_predictions(db.predictions), det.stats(),
-             actions)
+            ("result", db.predictions.rows, det.stats(), actions)
         )
     except BaseException as exc:  # noqa: BLE001 - report, then die
         try:
@@ -635,7 +542,7 @@ class Supervisor:
         self._checkpoints: List[Optional[Tuple[int, int, bytes]]] = []
         self._last_error: List[str] = []
         # Per-cycle result blocks streamed up the pipe, per shard, as
-        # (cycle, packed) in cycle order; truncated on recovery.
+        # (cycle, rows) in cycle order; truncated on recovery.
         self._result_blocks: List[List[Tuple[int, np.ndarray]]] = []
         self._results: List[Optional[Tuple[np.ndarray, dict, Any]]] = []
         self._progress_ns: List[int] = []
@@ -1072,16 +979,14 @@ class Supervisor:
             out.append(result)
         return out
 
-    def shard_packed(self, shard: int) -> np.ndarray:
-        """A shard's full prediction log: the streamed per-cycle blocks
+    def shard_rows(self, shard: int) -> np.ndarray:
+        """A shard's full prediction log: the streamed per-cycle rows
         (in cycle order, post any recovery truncation) followed by the
-        final EOF-drain block.  Call after :meth:`collect`."""
+        final EOF-drain rows.  Call after :meth:`collect`."""
         result = self._results[shard]
         assert result is not None
-        blocks = [packed for _cycle, packed in self._result_blocks[shard]]
+        blocks = [rows for _cycle, rows in self._result_blocks[shard]]
         blocks.append(result[0])
-        if len(blocks) == 1:
-            return blocks[0]
         return np.concatenate(blocks)
 
     def join_all(self) -> None:
@@ -1221,34 +1126,25 @@ def run_sharded(
         sup.join_all()
 
         db = detector.db
-        # Merge the streamed result blocks sorted by (seq, shard) —
-        # lexsort keys are listed least-significant first.
-        packed_by_shard = [
-            sup.shard_packed(shard) for shard in range(n_shards)
-        ]
-        if n_shards == 1:
-            merged_packed = packed_by_shard[0]
-            order = np.argsort(merged_packed["seq"], kind="stable")
-            merged_packed = merged_packed[order]
-        else:
-            all_packed = np.concatenate(packed_by_shard)
-            shard_col = np.repeat(
-                np.arange(n_shards), [p.shape[0] for p in packed_by_shard]
-            )
-            order = np.lexsort((shard_col, all_packed["seq"]))
-            merged_packed = all_packed[order]
-        # Bulk append (store_prediction is a plain append): the
-        # mitigation flow tier already ran on the worker that owns each
-        # flow; absorb_run below fast-forwards the coordinator's flow
-        # cursor past this merged log.
-        db.predictions.extend(unpack_predictions(merged_packed))
+        # Merge: concatenate the shards' rows and sort by (seq, shard) —
+        # lexsort keys are listed least-significant first.  The rows go
+        # straight into the log, bypassing the store taps: the mitigation
+        # flow tier already ran on the worker that owns each flow, and
+        # absorb_run below fast-forwards the coordinator's flow cursor
+        # past this merged log.
+        rows_by_shard = [sup.shard_rows(shard) for shard in range(n_shards)]
+        merged = np.concatenate(rows_by_shard)
+        shard_col = np.repeat(
+            np.arange(n_shards), [rows.shape[0] for rows in rows_by_shard]
+        )
+        db.predictions.extend(merged[np.lexsort((shard_col, merged["seq"]))])
         detector.shard_stats = [stats for _, stats, _ in shard_results]
         detector.supervision_stats = sup.stats()
         mitigation = getattr(detector, "mitigation", None)
         if mitigation is not None:
             worker_actions: List[Any] = []
             worker_mitigation_stats: List[dict] = []
-            for _packed, stats, actions in shard_results:
+            for _rows, stats, actions in shard_results:
                 if actions:
                     worker_actions.extend(actions)
                 shard_mit = (

@@ -51,17 +51,13 @@ telemetry time of the evidence.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.database import PredictionEntry
+from repro.core.database import KEY_FIELDS, PredictionEntry, PredictionLog
 
 from .enforcement import AclTable
 from .rules import FlowRule, RuleAction
-
-#: Canonical prediction-log order (C-speed key for the episode replay).
-_ENTRY_ORDER = operator.attrgetter("seq", "key")
 
 __all__ = [
     "ThresholdRule",
@@ -649,7 +645,7 @@ class MitigationController:
 
         The flow tier consumes the prediction log at cycle boundaries
         (:meth:`on_cycle`, invoked by the mechanism's cycle loop) rather
-        than wrapping ``store_prediction`` per entry: nothing ingests
+        than wrapping ``store_predictions`` per block: nothing ingests
         between a cycle's stores and its boundary, so the flow state
         read is bit-identical to store time — and the hot path stays a
         single call per cycle instead of one per prediction."""
@@ -811,49 +807,50 @@ class MitigationController:
         db = self._db
         if db is None:
             return
-        preds = db.predictions
+        log = db.predictions
         # The cursor is an *absolute* stream position; sharded workers
-        # trim shipped entries off the front of the resident log, so
-        # resident index = absolute index - predictions_base.  Trims
-        # only ever happen after this sweep ran over the trimmed
-        # entries (worker order: cycle → on_cycle → ship+trim), so the
-        # cursor can never point below the base.
-        base = getattr(db, "predictions_base", 0)
-        n = base + len(preds)
+        # trim shipped rows off the front of the resident log, so
+        # resident index = absolute index - log.base.  Trims only ever
+        # happen after this sweep ran over the trimmed rows (worker
+        # order: cycle → on_cycle → ship+trim), so the cursor can never
+        # point below the base.
         pos = self._flow_pos
-        if pos >= n:
+        if pos >= log.total:
             return
-        self._flow_pos = n
-        # Hot loop: local aliases, cheap checks inline, rare work in
-        # helper calls.
+        self._flow_pos = log.total
+        rows = log.rows[pos - log.base :]
+        # Hot loop over the new rows' columns: local aliases, cheap
+        # checks inline, rare work in helper calls.
         blocks = self.blocks
         block_entries = blocks.entries
         flow_next = self._flow_next
         account = self._account
         process = self._process_flagged
         last = self._last_ts_ns
-        for i in range(pos - base, n - base):
-            entry = preds[i]
-            now = entry.ts_registered_ns
+        for key, now, final, seq in zip(
+            zip(*(rows[f].tolist() for f in KEY_FIELDS)),
+            rows["ts_registered_ns"].tolist(),
+            rows["final"].tolist(),
+            rows["seq"].tolist(),
+        ):
             if now > last:
                 last = now
             if block_entries:
                 nx = blocks._next_expiry_ns
                 if nx is not None and now >= nx:
                     self._sweep_expired(now)
-                account(entry.key, now)
-            if entry.final_decision == 1:
-                horizon = flow_next.get(entry.key, 0)
+                account(key, now)
+            if final == 1:
+                horizon = flow_next.get(key, 0)
                 if horizon == 0 or (horizon is not None and now >= horizon):
                     self._last_ts_ns = int(last)
-                    process(entry, now, horizon)
+                    process(key, seq, now, horizon)
         self._last_ts_ns = int(last)
 
     def _process_flagged(
-        self, entry: PredictionEntry, now: int, horizon: int
+        self, key: tuple, seq: int, now: int, horizon: int
     ) -> List[MitigationAction]:
         """Rule evaluation for one flagged prediction (the rare path)."""
-        key = entry.key
         rec = self._db.flows.get(key) if self._db is not None else None
         if rec is None:
             # Coordinator-side merge replay (no ingest here) or an
@@ -881,7 +878,7 @@ class MitigationController:
                 if rule.scope == "flow" else ("source", attacker)
             )
             out.append(self._emit(
-                seq=entry.seq, now_ns=now, tier="flow", rule=rule.name,
+                seq=seq, now_ns=now, tier="flow", rule=rule.name,
                 verdict=verdict, action=rule.action, scope=rule.scope,
                 target=target, ttl_ns=rule.ttl_ns, rate_pps=rule.rate_pps,
             ))
@@ -950,24 +947,18 @@ class MitigationController:
         """
         self.on_cycle()  # flow-tier sweep of any final-drain stores
         self._lossy_recoveries += int(lossy)
-        replay = self._episode_sink is not None and not self._inline_episodes
-        if replay:
-            entries = sorted(db.predictions, key=_ENTRY_ORDER)
-            last = entries[-1] if entries else None
-        else:
-            # Nothing replays the log, so only its canonically last
-            # entry is needed; reversed makes max() break (seq, key)
-            # ties toward the later entry, as the stable sort does.
-            last = max(reversed(db.predictions), key=_ENTRY_ORDER, default=None)
-        if last is not None:
+        log = db.predictions
+        order = log.canonical_order()
+        if order.size:
             self._last_ts_ns = max(
-                self._last_ts_ns, int(last.ts_registered_ns)
+                self._last_ts_ns,
+                int(log.rows["ts_registered_ns"][order[-1]]),
             )
-        if replay:
-            new = entries[self._episode_pos:]
-            self._episode_pos = len(entries)
-            if new:
-                self._episode_sink(new)
+        if self._episode_sink is not None and not self._inline_episodes:
+            new = order[self._episode_pos:]
+            self._episode_pos = int(order.size)
+            if new.size:
+                self._episode_sink(PredictionLog.decode(log.rows[new]))
         self._sweep_expired(self._last_ts_ns)
 
     def absorb_run(
@@ -985,10 +976,7 @@ class MitigationController:
         fast-forwarded past the merged log: each entry's flow tier
         already ran on the worker that owns the flow."""
         if self._db is not None:
-            self._flow_pos = (
-                getattr(self._db, "predictions_base", 0)
-                + len(self._db.predictions)
-            )
+            self._flow_pos = self._db.predictions.total
         self._lossy_recoveries += int(lossy)
         for a in sorted(actions, key=lambda a: a.sort_key()):
             self.action_log.append(a)

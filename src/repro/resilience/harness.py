@@ -303,9 +303,8 @@ def _epoch_profile(db) -> tuple:
     predicted at cycle *k*, so a swap at a cycle boundary partitions
     the seq axis cleanly — an epoch that *decreases* means some shard
     served a cycle with the outgoing panel after the barrier."""
-    epochs = [
-        e.epoch for e in sorted(db.predictions, key=lambda e: (e.seq, e.key))
-    ]
+    log = db.predictions
+    epochs = log.rows["epoch"][log.canonical_order()].tolist()
     monotone = all(a <= b for a, b in zip(epochs, epochs[1:]))
     mid_run = bool(epochs) and epochs[0] == 0 and epochs[-1] >= 1
     final = epochs[-1] if epochs else 0

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.controlplane import Alert, AlertManager, AlertSeverity, LogSink
-from repro.core.database import PredictionEntry
+from repro.core.database import PredictionEntry, PredictionLog
+
+from .test_core_database import rows_of
 
 SEC = 1_000_000_000
 SERVER = 0x0A0A0050
@@ -262,10 +264,10 @@ class TestEpisodeBridge:
 
         class _DB:
             def __init__(self):
-                self.predictions = []
+                self.predictions = PredictionLog()
 
-            def store_prediction(self, e):
-                self.predictions.append(e)
+            def store_predictions(self, block):
+                self.predictions.extend(block)
 
         class _Det:
             def __init__(self):
@@ -274,7 +276,7 @@ class TestEpisodeBridge:
         det = _Det()
         assert bridge.attach_inline(det) is bridge
         for i in range(5):
-            det.db.store_prediction(entry(flow_key(i), i * 1000))
+            det.db.store_predictions(rows_of([entry(flow_key(i), i * 1000)]))
         assert bridge.stats()["inline"] is True
         assert ctrl.counters["episode_escalations"] == 1
         assert len(det.db.predictions) == 5  # stores still land

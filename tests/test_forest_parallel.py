@@ -11,9 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.database import PredictionEntry
+from repro.core.database import PredictionEntry, PredictionLog
 from repro.ml import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier, _LEAF
+
+from .test_core_database import rows_of
 
 
 @pytest.fixture(scope="module")
@@ -176,22 +178,10 @@ class TestPresortSplitSearch:
 
 
 class TestPredictionEntryFast:
-    def test_fast_equals_init(self):
-        args = dict(
-            key=(1, 2, 3, 4, 6), ts_registered_ns=10, wall_registered_ns=20,
-            wall_predicted_ns=35, label=1, votes=(1, 0), final_decision=1,
-        )
-        normal = PredictionEntry(**args)
-        fast = PredictionEntry.fast(
-            args["key"], args["ts_registered_ns"], args["wall_registered_ns"],
-            args["wall_predicted_ns"], args["label"], args["votes"],
-            args["final_decision"],
-        )
-        assert fast == normal
-        assert fast.latency_ns == normal.latency_ns == 15
-        assert isinstance(fast, PredictionEntry)
-
     def test_fast_still_frozen(self):
-        entry = PredictionEntry.fast((1,), 0, 0, 1, 0, (0,), None)
+        """The log's row view stays frozen."""
+        row = PredictionEntry((1, 2, 3, 4, 6), 0, 0, 1, 0, (0,), None)
+        entry = PredictionLog(rows_of([row]))[0]
+        assert entry == row
         with pytest.raises(Exception):
             entry.label = 1

@@ -25,6 +25,7 @@ from .test_mitigation_controller import (
     StubRecord,
     entry,
     flow_key,
+    store,
 )
 
 #: canonical key of one attacker→SERVER:80 flow (service = lower-port side)
@@ -150,7 +151,7 @@ def loop(*tables, rules=(rule(),), **config):
 def flag(det, key=KEY, ts=0, seq=0, decision=1):
     """Store one decision for a 1000 pps flow."""
     det.db.flows[key] = StubRecord(100, 6400, 0.1)
-    det.db.predictions.append(entry(key, ts, seq, decision))
+    store(det, entry(key, ts, seq, decision))
 
 
 def flood(det, n=8):
@@ -212,7 +213,7 @@ class TestMitigationEngine:
         acl = AclTable()
         det, ctrl = loop(acl)
         flag(det, decision=0)
-        det.db.predictions.append(PredictionEntry(KEY, 0, 0, 1, 1, (1,), None))
+        store(det, PredictionEntry(KEY, 0, 0, 1, 1, (1,), None))
         ctrl.on_cycle()
         assert ctrl.action_log == [] and acl.installed == 0
 

@@ -30,7 +30,7 @@ from repro.core.checkpoint import (
     snapshot_detector,
     unpack_state,
 )
-from repro.core.database import PredictionEntry
+from repro.core.database import PredictionEntry, PredictionLog
 from repro.mitigation import (
     BlockTable,
     MitigationConfig,
@@ -40,6 +40,8 @@ from repro.mitigation import (
     action_log_digest,
 )
 from repro.mitigation.controller import PERMANENT
+
+from .test_core_database import rows_of
 
 SEC = 1_000_000_000
 SERVER = 0x0A0A0050
@@ -62,7 +64,7 @@ class StubFlows(dict):
 
 class StubDB:
     def __init__(self):
-        self.predictions = []
+        self.predictions = PredictionLog()
         self.flows = StubFlows()
 
 
@@ -85,11 +87,16 @@ def entry(key, ts, seq, decision=1):
     )
 
 
+def store(det, *entries):
+    """Append prediction rows to the stub detector's log."""
+    det.db.predictions.extend(rows_of(entries))
+
+
 def hot_flow(det, i, ts, seq, pps=1000.0, packets=100):
-    """Register a flagged hot flow + its prediction entry on the stub."""
+    """Register a flagged hot flow + its prediction row on the stub."""
     key = flow_key(i)
     det.db.flows[key] = StubRecord(packets, packets * 64, packets / pps)
-    det.db.predictions.append(entry(key, ts, seq))
+    store(det, entry(key, ts, seq))
     return key
 
 
@@ -267,7 +274,7 @@ class TestFlowTier:
     def test_flagged_hot_flow_blocked_once(self):
         det, ctrl = self.loop()
         key = hot_flow(det, 1, ts=0, seq=0)
-        det.db.predictions.append(entry(key, 1000, 1))  # same flow again
+        store(det, entry(key, 1000, 1))  # same flow again
         ctrl.on_cycle()
         installs = [a for a in ctrl.action_log if a.verdict == "installed"]
         assert len(installs) == 1
@@ -278,7 +285,7 @@ class TestFlowTier:
         det, ctrl = self.loop()
         key = hot_flow(det, 1, ts=0, seq=0)
         ctrl.on_cycle()
-        det.db.predictions.append(entry(key, 31 * SEC, 1))
+        store(det, entry(key, 31 * SEC, 1))
         ctrl.on_cycle()
         assert [a.verdict for a in ctrl.action_log] == [
             "installed", "refreshed"
@@ -303,7 +310,7 @@ class TestFlowTier:
         ))
         det, ctrl = self.loop(cfg)
         key = hot_flow(det, 1, ts=0, seq=0)
-        det.db.predictions.append(entry(key, 10**15, 1))
+        store(det, entry(key, 10**15, 1))
         ctrl.on_cycle()
         assert len(ctrl.action_log) == 1
         assert ctrl.action_log[0].ttl_ns == PERMANENT
@@ -313,9 +320,10 @@ class TestFlowTier:
         det, ctrl = self.loop()
         key = flow_key(1)
         det.db.flows[key] = StubRecord(100, 6400, 0.1)
-        det.db.predictions.append(entry(key, 0, 0, decision=0))
-        det.db.predictions.append(
-            PredictionEntry(key, 0, 0, 1, 1, (1,), None, seq=1)
+        store(
+            det,
+            entry(key, 0, 0, decision=0),
+            PredictionEntry(key, 0, 0, 1, 1, (1,), None, seq=1),
         )
         ctrl.on_cycle()
         assert ctrl.action_log == []

@@ -19,11 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AutomatedDDoSDetector, pretrain
-from repro.core.sharding import (
-    pack_predictions,
-    prediction_log_digest,
-    unpack_predictions,
-)
+from repro.core.sharding import prediction_log_digest
 from repro.features import extract_features
 from repro.features.keys import (
     canonical_flow_key,
@@ -203,13 +199,6 @@ class TestSketchGatedEquivalence:
                 stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,
                 shards=2,
             )
-
-
-class TestResultPacking:
-    def test_pack_unpack_roundtrip(self, bundle, stream):
-        _, db = run_mode(bundle, stream)
-        entries = db.predictions
-        assert unpack_predictions(pack_predictions(entries)) == entries
 
 
 # ---------------------------------------------------------------------------
