@@ -14,7 +14,7 @@ offline pre-training (:mod:`~repro.core.training`), latency bookkeeping
 from .central import CentralServer
 from .collection import IntDataCollection, SFlowDataCollection
 from .database import FlowDatabase, PredictionEntry
-from .ensemble import SlidingDecision, aggregate_votes
+from .ensemble import SlidingDecision
 from .latency import LatencyTracker
 from .mechanism import AutomatedDDoSDetector, score_by_type
 from .prediction import PredictionModule
@@ -28,7 +28,6 @@ __all__ = [
     "FlowDatabase",
     "PredictionEntry",
     "SlidingDecision",
-    "aggregate_votes",
     "LatencyTracker",
     "AutomatedDDoSDetector",
     "score_by_type",

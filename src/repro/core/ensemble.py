@@ -4,7 +4,9 @@ Two layers, both reproduced exactly:
 
 1. **Model vote** — per update, the MLP/RF/GNB votes collapse to one
    aggregated label by majority ("if two or more of the predictions are
-   1, then it is classified as an attack flow").
+   1, then it is classified as an attack flow").  The one tie rule is
+   :func:`repro.ml.voting.majority_vote`, applied to a whole block of
+   updates at once by the data processor.
 2. **Sliding window** — aggregated labels are not acted on immediately:
    "we wait for three predictions.  If two or more of the last three
    predictions are 1, then it is classified as an attack flow."  The
@@ -17,16 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro.ml.voting import majority_vote
-
-__all__ = ["SlidingDecision", "aggregate_votes"]
-
-
-def aggregate_votes(votes: np.ndarray) -> int:
-    """Collapse one update's per-model votes to a single 0/1 label."""
-    return int(majority_vote(np.asarray(votes)[None, :])[0])
+__all__ = ["SlidingDecision"]
 
 
 class SlidingDecision:

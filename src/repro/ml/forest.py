@@ -14,25 +14,113 @@ Training parallelizes across trees (``n_jobs``): every tree draws its
 bootstrap and split randomness from its own spawned generator stream, so
 the fitted forest is a pure function of ``seed`` — bit-identical for any
 worker count, including serial.
+
+Inference runs on a compiled forest.  At fit (and on unpickling) every
+tree is concatenated into one node table (:class:`_NodeTable`) in which
+leaves loop onto themselves, so a single fixed-length descent walks all
+trees x all rows at once: ``depth`` vectorized steps per block of rows,
+instead of one Python level loop per tree.  Leaf values are summed over
+trees in tree order, so probabilities — and every vote and digest built
+on them — are bit-identical to descending one tree at a time.  The
+table is derived state: it is never pickled, which keeps a packed model
+panel a pure function of the fitted trees.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.common.rng import as_generator
 
 from .base import ClassifierMixin
-from .tree import DecisionTreeClassifier
+from .tree import _LEAF, DecisionTreeClassifier
 
 __all__ = ["RandomForestClassifier"]
 
 #: Bootstrap redraws allowed before a class-incomplete draw is an error.
 _BOOTSTRAP_ATTEMPTS = 8
+
+#: Rows descended together: bounds the (trees x rows) temporaries of
+#: one predict at a few MiB however many rows it is given.
+_BLOCK_ROWS = 2048
+
+
+class _NodeTable(NamedTuple):
+    """Every tree of a fitted forest as one concatenated node table.
+
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` and moves to
+    ``child[2*i + go]``, where ``go = x <= threshold`` (1 = left).  A
+    leaf is a node that keeps every row where it is — threshold
+    ``+inf``, both children itself — so ``depth`` identical steps bring
+    every (tree, row) pair to its leaf.
+    """
+
+    feature: np.ndarray    # (N,) split feature, 0 on leaves
+    threshold: np.ndarray  # (N,) split threshold, +inf on leaves
+    child: np.ndarray      # (2N,) interleaved [right, left] per node
+    value: np.ndarray      # (N, k) class distribution, forest columns
+    root: np.ndarray       # (T,) each tree's root, in tree order
+    depth: int             # deepest leaf of any tree
+
+
+def _compile(trees: List[DecisionTreeClassifier], k: int) -> _NodeTable:
+    """Concatenate fitted trees into one :class:`_NodeTable`.
+
+    Trees fitted on a (rare) class-incomplete bootstrap carry fewer
+    probability columns than the forest; their values are scattered
+    into the forest's ``k`` columns here, once, instead of per predict.
+    """
+    feature, threshold, child, value, root = [], [], [], [], []
+    offset = 0
+    for tree in trees:
+        m = tree.node_count
+        ids = np.arange(offset, offset + m)
+        leaf = tree.feature_ == _LEAF
+        feature.append(np.where(leaf, 0, tree.feature_))
+        threshold.append(np.where(leaf, np.inf, tree.threshold_))
+        pair = np.empty((m, 2), dtype=np.intp)
+        pair[:, 0] = np.where(leaf, ids, tree.children_right_ + offset)
+        pair[:, 1] = np.where(leaf, ids, tree.children_left_ + offset)
+        child.append(pair.ravel())
+        padded = np.zeros((m, k))
+        padded[:, tree.classes_.astype(np.int64)] = tree.value_
+        value.append(padded)
+        root.append(offset)
+        offset += m
+    return _NodeTable(
+        feature=np.concatenate(feature),
+        threshold=np.concatenate(threshold),
+        child=np.concatenate(child),
+        value=np.concatenate(value),
+        root=np.asarray(root, dtype=np.intp),
+        depth=max(tree.depth for tree in trees),
+    )
+
+
+def _descend(table: _NodeTable, X: np.ndarray) -> np.ndarray:
+    """Mean leaf distribution over all trees for each row of ``X``.
+
+    One ``depth``-step loop walks all trees x all rows together.  The
+    leaf values are summed over trees in tree order and divided by the
+    tree count — the same float operations, in the same order, as
+    accumulating one tree at a time, so the result is bit-identical.
+    """
+    n, n_features = X.shape
+    n_trees = table.root.size
+    flat = X.ravel()
+    node = np.repeat(table.root, n)  # tree-major: tree t owns [t*n, (t+1)*n)
+    row = np.tile(np.arange(0, n * n_features, n_features), n_trees)
+    for _ in range(table.depth):
+        go = flat[row + table.feature[node]] <= table.threshold[node]
+        node = table.child[2 * node + go]
+    proba = table.value[node].reshape(n_trees, n, table.value.shape[1]).sum(axis=0)
+    proba /= n_trees
+    return proba
 
 
 def _fit_tree_chunk(
@@ -166,7 +254,7 @@ class RandomForestClassifier(ClassifierMixin):
                 # Collect in submission order: estimators_[i] is tree i
                 # regardless of which worker finished first.
                 self.estimators_ = [t for fut in futures for t in fut.result()]
-        self._tree_values_ = None  # invalidate the predict cache on refit
+        self._table_ = _compile(self.estimators_, k)
 
         imps = [
             t.feature_importances_
@@ -181,38 +269,32 @@ class RandomForestClassifier(ClassifierMixin):
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def _padded_tree_values(self) -> List[np.ndarray]:
-        """Per-tree leaf-value matrices aligned to the forest's class
-        columns, built once and cached.
+    def __getstate__(self) -> Dict[str, object]:
+        # The node table is derived from the trees: leaving it out of the
+        # pickle makes a packed panel a pure function of the fitted forest.
+        state = dict(self.__dict__)
+        state.pop("_table_", None)
+        return state
 
-        Trees fitted on a (rare) class-incomplete bootstrap carry fewer
-        probability columns than the forest; padding them up front turns
-        the per-predict column scatter into a plain row gather.
-        """
-        cached = getattr(self, "_tree_values_", None)
-        if cached is not None:
-            return cached
-        k = self.classes_.size
-        values: List[np.ndarray] = []
-        for tree in self.estimators_:
-            cols = tree.classes_.astype(np.int64)
-            if cols.size == k:
-                values.append(tree.value_)
-            else:
-                padded = np.zeros((tree.value_.shape[0], k))
-                padded[:, cols] = tree.value_
-                values.append(padded)
-        self._tree_values_ = values
-        return values
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Intern attribute names as default unpickling does: pickle
+        # memoizes strings by identity, so a repacked panel is only
+        # byte-identical to the blob it came from if the forest's keys
+        # are the same objects as its trees' and the scaler's.  Blobs
+        # from before the node table carry a per-tree value cache that
+        # would otherwise ride along into every later pickle.
+        self.__dict__.update(
+            (sys.intern(name), value)
+            for name, value in state.items()
+            if name != "_tree_values_"
+        )
+        if hasattr(self, "estimators_"):
+            self._table_ = _compile(self.estimators_, self.classes_.size)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        k = self.classes_.size
-        acc = np.zeros((X.shape[0], k))
-        buf = np.empty((X.shape[0], k))
-        for tree, values in zip(self.estimators_, self._padded_tree_values()):
-            # One validated-input descent + one preallocated row gather
-            # per tree; no per-tree allocation beyond the leaf indices.
-            np.take(values, tree._apply(X), axis=0, out=buf)
-            acc += buf
-        acc /= len(self.estimators_)
-        return acc
+        if X.shape[0] <= _BLOCK_ROWS:
+            return _descend(self._table_, X)
+        return np.concatenate([
+            _descend(self._table_, X[start:start + _BLOCK_ROWS])
+            for start in range(0, X.shape[0], _BLOCK_ROWS)
+        ])

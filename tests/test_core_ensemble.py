@@ -1,19 +1,14 @@
-"""Tests for the vote aggregation and sliding decision window (§IV-C4)."""
+"""Tests for the sliding decision window (§IV-C4).
 
-import numpy as np
+The per-update vote it consumes is ``repro.ml.majority_vote``, tested in
+``test_ml_ensemble``.
+"""
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ensemble import SlidingDecision, aggregate_votes
-
-
-class TestAggregateVotes:
-    def test_two_of_three_rule(self):
-        assert aggregate_votes(np.array([1, 1, 0])) == 1
-        assert aggregate_votes(np.array([1, 0, 0])) == 0
-        assert aggregate_votes(np.array([1, 1, 1])) == 1
-        assert aggregate_votes(np.array([0, 0, 0])) == 0
+from repro.core.ensemble import SlidingDecision
 
 
 class TestSlidingDecision:

@@ -62,6 +62,13 @@ class TestMajorityVote:
         preds = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 1], [0, 0, 0]])
         assert majority_vote(preds).tolist() == [1, 0, 1, 0]
 
+    def test_single_update_row(self):
+        """One update's MLP/RF/GNB votes as a one-row block."""
+        assert majority_vote(np.array([[1, 1, 0]])).tolist() == [1]
+        assert majority_vote(np.array([[1, 0, 0]])).tolist() == [0]
+        assert majority_vote(np.array([[1, 1, 1]])).tolist() == [1]
+        assert majority_vote(np.array([[0, 0, 0]])).tolist() == [0]
+
     def test_tie_breaks_to_attack(self):
         preds = np.array([[1, 0], [0, 1]])
         assert majority_vote(preds).tolist() == [1, 1]
