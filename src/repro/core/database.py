@@ -1,9 +1,9 @@
 """The mechanism's database (Fig 2 center).
 
 Stores exactly what the paper's database stores: one record per Flow ID
-(owned by the Data Processor's :class:`~repro.features.flow_table.FlowTable`),
-plus the prediction log the Data Processor writes back (label, timestamp,
-prediction latency — steps ③ and ⑧ of Fig 2).
+(a row of the Data Processor's :class:`~repro.features.flow_table.FlowTable`
+columns), plus the prediction log the Data Processor writes back (label,
+timestamp, prediction latency — steps ③ and ⑧ of Fig 2).
 
 The prediction log is one growable :data:`RESULT_DTYPE` structured array
 (:class:`PredictionLog`) — the same rows in process, in a shard worker,
@@ -15,7 +15,7 @@ demand when the log is indexed or iterated.
 
 The CentralServer "continuously communicates with the database to check
 whether there is an update in the records" (§III-3).  We model that poll
-faithfully: :meth:`poll_updates` *scans the resident flow records* for a
+faithfully: :meth:`poll_updates` *scans the resident flow keys* for a
 dirty flag rather than consuming an efficient queue.  The scan cost is
 proportional to the number of live flows — the very scaling bottleneck
 the paper observes when benign traffic (many concurrent flows) drives
@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.features.batch import FlowBatch
+from repro.features.flow_record import FEATURE_ORDER
 from repro.features.flow_table import FlowTable
 
 __all__ = ["FlowDatabase", "PredictionEntry", "PredictionLog", "RESULT_DTYPE"]
@@ -56,6 +57,8 @@ RESULT_DTYPE = np.dtype([
 
 #: The flow-key columns of :data:`RESULT_DTYPE`, in key order.
 KEY_FIELDS = ("k0", "k1", "k2", "k3", "k4")
+
+_N_PACKETS = FEATURE_ORDER.index("n_packets")
 
 
 @dataclass(frozen=True)
@@ -328,24 +331,24 @@ class FlowDatabase:
         """
         self.polls += 1
         out: List[Tuple[tuple, int, int, int]] = []
+        flows = self.flows
         if self.fast_poll:
             candidates = list(self._dirty.keys())
         else:
-            # Paper-faithful: walk every resident record looking for
-            # dirty ones.  The walk itself is the cost being modeled.
+            # Paper-faithful: walk every resident flow looking for dirty
+            # ones.  The walk itself is the cost being modeled.
             candidates = []
-            for key, _rec in self.flows.items():
+            for key in flows.keys():
                 self.records_scanned += 1
                 if key in self._dirty:
                     candidates.append(key)
 
         for key in candidates:
-            rec = self.flows.get(key)
-            if rec is None:
+            if key not in flows:
                 # Evicted under flood pressure; drop its pending updates.
                 del self._dirty[key]
                 continue
-            if self.skip_new_flows and rec.is_new:
+            if self.skip_new_flows and flows.feature_row(key)[_N_PACKETS] <= 1:
                 continue  # wait for the first real update (§III-3 literal)
             stamps = self._dirty.pop(key)
             for i, (ts_sim, wall, seq) in enumerate(stamps):

@@ -20,10 +20,12 @@ into the per-attack-type rows of Table VI.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.features.flow_record import FEATURE_ORDER
 from repro.features.flow_table import FlowTable
 from repro.features.keys import key_hash_of_key
 from repro.int_telemetry.collector import IntCollector
@@ -41,6 +43,8 @@ from .processor import DataProcessor
 from .training import TrainedBundle
 
 __all__ = ["AutomatedDDoSDetector", "score_by_type"]
+
+_N_PACKETS = FEATURE_ORDER.index("n_packets")
 
 
 class AutomatedDDoSDetector:
@@ -93,7 +97,7 @@ class AutomatedDDoSDetector:
         Enable the sketch admission gate in front of the flow table
         (see :mod:`repro.sketch.gate`): every packet updates a seeded
         count-min sketch, only promoted heavy hitters get exact
-        FlowRecords, the rest aggregate into per-prefix residuals.
+        flow-table rows, the rest aggregate into per-prefix residuals.
         ``None`` (default) keeps the exact ungated path bit-for-bit.
     """
 
@@ -406,6 +410,7 @@ class AutomatedDDoSDetector:
             "predictions_stored": self.db.predictions_total,
             "flows_created": self.db.flows.created,
             "flows_evicted": self.db.flows.evicted,
+            "decision_windows": len(self.processor.decision),
             "predictions_served": self.prediction.predictions_served,
             "quarantined_models": dict(self.prediction.quarantined),
             "active_models": self.prediction.active_model_names,
@@ -446,17 +451,12 @@ class AutomatedDDoSDetector:
         flows = self.db.flows
         out["demotions"] = flows.evicted + flows.expired
         out["resident_flows"] = len(flows)
-        err_sum = 0.0
-        sampled = 0
-        exact_le_est = 0
-        for key, rec in flows.items():
-            if sampled >= 512:
-                break
-            est_pkts, _ = gate.estimate_key(key_hash_of_key(key))
-            if rec.n_packets > 0:
-                err_sum += (est_pkts - rec.n_packets) / rec.n_packets
-                exact_le_est += int(est_pkts >= rec.n_packets)
-                sampled += 1
+        keys = list(itertools.islice(flows.keys(), 512))
+        exact = flows.feature_rows(keys)[0][:, _N_PACKETS].astype(np.int64).tolist()
+        est = [gate.estimate_key(key_hash_of_key(key))[0] for key in keys]
+        err_sum = sum((e - x) / x for e, x in zip(est, exact))
+        exact_le_est = sum(e >= x for e, x in zip(est, exact))
+        sampled = len(keys)
         out["error_sample_flows"] = sampled
         out["mean_relative_overestimate"] = (
             err_sum / sampled if sampled else 0.0

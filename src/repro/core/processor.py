@@ -1,11 +1,14 @@
 """Data Processor module (Fig 2, module 2).
 
 Receives packet-level INT data from the collection module (step ②),
-maintains the per-flow records in the flow table, and registers each
-update with the database (step ③).  On the return path it receives the
-per-model predictions from the CentralServer (step ⑦), aggregates them
-into one label, pushes the label through the per-flow sliding decision
-window, and stores the result with its prediction latency (step ⑧).
+folds it into the flow table's per-flow columns, and registers each
+update with the database (step ③).  The feature rows the CentralServer
+sends to prediction are one row take of the table's
+:data:`~repro.features.flow_record.FEATURE_ORDER` rows plus the schema's
+column select.  On the return path it receives the per-model
+predictions from the CentralServer (step ⑦), aggregates them into one
+label, pushes the label through the per-flow sliding decision window,
+and stores the result with its prediction latency (step ⑧).
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class DataProcessor:
     database : FlowDatabase
         Shared store (owns the flow table).
     feature_names : sequence of str
-        Schema order for feature vectors sent to prediction.
+        Schema order for feature vectors sent to prediction; each name
+        must be in :data:`~repro.features.flow_record.FEATURE_ORDER`
+        (``ValueError`` otherwise).
     decision_window : int
         Size of the last-N sliding window (paper: 3).
     emit_partial : bool
@@ -69,15 +74,13 @@ class DataProcessor:
         # repro: allow[DET002] injectable default; wall stamps are excluded from digests
         self.clock = clock if clock is not None else time.perf_counter_ns
         self.packets_processed = 0
-        # Column selection for the batched feature-matrix fill; None
-        # when the schema contains a name outside the canonical record
-        # features (falls back to per-record feature_vector).
-        try:
-            self._feature_sel: Optional[np.ndarray] = np.asarray(
-                [FEATURE_ORDER.index(n) for n in self.feature_names], dtype=np.int64
-            )
-        except ValueError:
-            self._feature_sel = None
+        unknown = sorted(set(self.feature_names) - set(FEATURE_ORDER))
+        if unknown:
+            raise ValueError(f"unknown feature names: {unknown}")
+        # Column selection from the flow table's FEATURE_ORDER rows.
+        self._feature_sel = np.asarray(
+            [FEATURE_ORDER.index(n) for n in self.feature_names], dtype=np.int64
+        )
 
     # ------------------------------------------------------------------
     # step ② — packet data in
@@ -162,93 +165,48 @@ class DataProcessor:
             return 0
         if seqs is None:
             seqs = np.arange(self.packets_processed, self.packets_processed + n)
+        columns = [ts_sim_ns, ingress_ts32, length, protocol,
+                   queue_occupancy, hop_latency_ns, seqs]
         if self.gate is not None:
             flows = self.db.flows
-            pkts = batch.counts
             len_sorted = np.asarray(length, dtype=np.float64)[batch.order]
             byts = np.add.reduceat(len_sorted, batch.starts).astype(np.int64)
             resident = np.fromiter(
                 (k in flows for k in batch.keys), dtype=bool, count=batch.n_groups
             )
             admit = self.gate.admit_slice(
-                batch.key_hash, pkts, byts, resident, batch.group_ip_a
+                batch.key_hash, batch.counts, byts, resident, batch.group_ip_a
             )
             if not admit.all():
-                sub, rec_mask = batch.subset(admit)
-                clock = self.clock
-                wall = [clock() for _ in range(sub.n)]
-                if sub.n:
-                    qo = None if queue_occupancy is None else np.asarray(
-                        queue_occupancy
-                    )[rec_mask]
-                    hl = None if hop_latency_ns is None else np.asarray(
-                        hop_latency_ns
-                    )[rec_mask]
-                    self.db.flows.update_batch(
-                        sub,
-                        np.asarray(ts_sim_ns)[rec_mask],
-                        np.asarray(ingress_ts32)[rec_mask],
-                        np.asarray(length)[rec_mask],
-                        np.asarray(protocol)[rec_mask],
-                        qo,
-                        hl,
-                    )
-                    self.db.register_update_batch(
-                        sub,
-                        np.asarray(ts_sim_ns)[rec_mask],
-                        wall,
-                        np.asarray(seqs)[rec_mask],
-                    )
-                self.packets_processed += n
-                return n
+                batch, rec_mask = batch.subset(admit)
+                columns = [None if c is None else np.asarray(c)[rec_mask]
+                           for c in columns]
+        ts_sim, ts32, lens, protos, occ, hop, seqs = columns
         clock = self.clock
-        wall = [clock() for _ in range(n)]
-        self.db.flows.update_batch(
-            batch, ts_sim_ns, ingress_ts32, length, protocol,
-            queue_occupancy, hop_latency_ns,
-        )
-        self.db.register_update_batch(batch, ts_sim_ns, wall, seqs)
+        wall = [clock() for _ in range(batch.n)]
+        if batch.n:
+            self.db.flows.update_batch(batch, ts_sim, ts32, lens, protos, occ, hop)
+            self.db.register_update_batch(batch, ts_sim, wall, seqs)
         self.packets_processed += n
         return n
 
     def features_for(self, key: tuple) -> Optional[np.ndarray]:
-        """Current feature vector of a flow (None if evicted)."""
-        rec = self.db.flows.get(key)
-        if rec is None:
-            return None
-        return rec.feature_vector(self.feature_names)
+        """Current feature vector of a flow (None if evicted): the
+        one-key case of :meth:`features_matrix`."""
+        X, valid = self.features_matrix((key,))
+        return X[0] if valid[0] else None
 
     def features_matrix(self, keys: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
         """Feature matrix for a polled batch of flow keys.
 
         Returns ``(X, valid)`` where ``X`` has one row per key in
         ``keys`` order and ``valid`` flags keys whose flow still exists
-        (evicted flows leave garbage rows, masked by ``valid``).  Row
-        values are bit-identical to :meth:`features_for` — the fill uses
-        the same per-record arithmetic, just without a dict and an
-        ndarray allocation per update.
+        (evicted flows leave garbage rows, masked by ``valid``).  One row
+        take of the flow table's :data:`FEATURE_ORDER` rows, then the
+        schema's column select.
         """
-        n = len(keys)
-        valid = np.ones(n, dtype=bool)
-        flows = self.db.flows
-        sel = self._feature_sel
-        if sel is None:
-            X = np.empty((n, len(self.feature_names)))
-            for i, key in enumerate(keys):
-                rec = flows.get(key)
-                if rec is None:
-                    valid[i] = False
-                else:
-                    X[i] = rec.feature_vector(self.feature_names)
-            return X, valid
-        full = np.empty((n, len(FEATURE_ORDER)))
-        for i, key in enumerate(keys):
-            rec = flows.get(key)
-            if rec is None:
-                valid[i] = False
-            else:
-                full[i] = rec.feature_row()
-        return full[:, sel], valid
+        rows, valid = self.db.flows.feature_rows(keys)
+        return rows[:, self._feature_sel], valid
 
     # ------------------------------------------------------------------
     # checkpoint/restore

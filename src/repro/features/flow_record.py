@@ -1,4 +1,4 @@
-"""Per-flow state record (the Data Processor's unit of storage).
+"""Per-flow state record: the update arithmetic, and a decoded view.
 
 Implements the update semantics of paper §III-2 exactly:
 
@@ -12,27 +12,29 @@ Inter-arrival times are computed from consecutive (wrapped 32-bit) INT
 ingress timestamps with wrap-aware differencing by default; the naive
 mode reproduces the error discussed in paper §V and feeds the timestamp
 ablation bench.
+
+The flow table stores the record's fields (:data:`STATE_FIELDS`) as one
+column each; a :class:`FlowRecord` is a row decoded to serve a read or
+to apply :meth:`FlowRecord.update`, the one per-packet arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.int_telemetry.timestamps import delta32_signed, naive_delta32
 
-from .welford import Welford
+from .welford import Welford, push_moments, std_of
 
-__all__ = ["FlowRecord", "FEATURE_ORDER"]
+__all__ = ["FlowRecord", "FEATURE_ORDER", "STATE_FIELDS"]
 
 _NS = 1e-9
 
-#: Canonical order of every feature a record can produce, matching the
-#: keys of :meth:`FlowRecord.feature_vector`'s lookup.  The batched
-#: dispatch path materializes full rows in this order and column-selects
-#: the schema subset, so per-update dict construction disappears from
-#: the hot path while values stay bit-identical to the scalar path.
+#: Canonical order of every feature a record can produce
+#: (:meth:`FlowRecord.feature_row`).  The flow table keeps one row in this
+#: order per flow, and prediction column-selects the schema subset.
 FEATURE_ORDER = (
     "protocol",
     "packet_size",
@@ -53,8 +55,18 @@ FEATURE_ORDER = (
 )
 
 
+@dataclass(slots=True)
 class FlowRecord:
     """Running state for one five-tuple flow.
+
+    Every field after ``key`` and ``wrap_aware`` is one column of the
+    flow table (:data:`STATE_FIELDS`): decode a row with
+    ``FlowRecord(key, wrap_aware, *row)``, encode with :meth:`row`.
+    Derivable state is not stored: the Welford counts (size and queue
+    moments count every packet, inter-arrival moments every packet but
+    the first) and the update count.  :attr:`size_stats`,
+    :attr:`iat_stats` and :attr:`occ_stats` rebuild them as
+    :class:`~repro.features.welford.Welford` views.
 
     Parameters
     ----------
@@ -66,46 +78,27 @@ class FlowRecord:
         wrong gap — the paper's Section V failure mode.
     """
 
-    __slots__ = (
-        "key",
-        "wrap_aware",
-        "created_ns",
-        "updated_ns",
-        "protocol",
-        "packet_size",
-        "inter_arrival_s",
-        "queue_occupancy",
-        "hop_latency_s",
-        "n_packets",
-        "total_bytes",
-        "duration_s",
-        "_last_ts32",
-        "size_stats",
-        "iat_stats",
-        "occ_stats",
-        "updates",
-    )
-
-    def __init__(self, key: tuple, wrap_aware: bool = True) -> None:
-        self.key = key
-        self.wrap_aware = bool(wrap_aware)
-        self.created_ns = 0
-        self.updated_ns = 0
-        # packet-level (replaced on every packet)
-        self.protocol = 0
-        self.packet_size = 0.0
-        self.inter_arrival_s = 0.0
-        self.queue_occupancy = 0.0
-        self.hop_latency_s = 0.0
-        # flow-level (aggregated)
-        self.n_packets = 0
-        self.total_bytes = 0.0
-        self.duration_s = 0.0
-        self._last_ts32: int | None = None
-        self.size_stats = Welford()
-        self.iat_stats = Welford()
-        self.occ_stats = Welford()
-        self.updates = 0
+    key: tuple
+    wrap_aware: bool = True
+    created_ns: int = 0
+    updated_ns: int = 0
+    # packet-level (replaced on every packet)
+    protocol: int = 0
+    packet_size: float = 0.0
+    inter_arrival_s: float = 0.0
+    queue_occupancy: float = 0.0
+    hop_latency_s: float = 0.0
+    # flow-level (aggregated)
+    n_packets: int = 0
+    total_bytes: float = 0.0
+    duration_s: float = 0.0
+    last_ts32: int = 0
+    size_mean: float = 0.0
+    size_m2: float = 0.0
+    iat_mean: float = 0.0
+    iat_m2: float = 0.0
+    occ_mean: float = 0.0
+    occ_m2: float = 0.0
 
     def update(
         self,
@@ -128,22 +121,23 @@ class FlowRecord:
         length, protocol, queue_occupancy, hop_latency_ns :
             Latest packet's header/metadata values.
         """
-        if self.n_packets == 0:
+        n = self.n_packets + 1
+        if n == 1:
             self.created_ns = now_ns
             gap_s = 0.0
         else:
-            if self.wrap_aware:
-                # Signed nearest-representative difference: corrects
-                # wraps and turns slight cross-observation-point
-                # reordering into a clamped zero instead of ~4.29 s.
-                gap_ns = max(0, int(delta32_signed(ingress_ts32, self._last_ts32)))
-            else:
-                gap_ns = max(0, int(naive_delta32(ingress_ts32, self._last_ts32)))
+            # Wrap-aware: the signed nearest-representative difference
+            # corrects wraps and turns slight cross-observation-point
+            # reordering into a clamped zero instead of ~4.29 s.
+            diff32 = delta32_signed if self.wrap_aware else naive_delta32
+            gap_ns = max(0, int(diff32(ingress_ts32, self.last_ts32)))
             gap_s = gap_ns * _NS
-            self.iat_stats.push(gap_s)
+            self.iat_mean, self.iat_m2 = push_moments(
+                n - 1, self.iat_mean, self.iat_m2, gap_s
+            )
             self.duration_s += gap_s
 
-        self._last_ts32 = int(ingress_ts32)
+        self.last_ts32 = int(ingress_ts32)
         self.updated_ns = now_ns
 
         # packet-level replacement
@@ -154,75 +148,43 @@ class FlowRecord:
         self.hop_latency_s = float(hop_latency_ns) * _NS
 
         # flow-level aggregation
-        self.n_packets += 1
+        self.n_packets = n
         self.total_bytes += float(length)
-        self.size_stats.push(float(length))
-        self.occ_stats.push(float(queue_occupancy))
-        self.updates += 1
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-    # ------------------------------------------------------------------
-    def state_snapshot(self) -> tuple:
-        """Full record state as a plain picklable tuple.
-
-        Everything :meth:`update` touches is captured — including the raw
-        Welford accumulator triples — so a restored record continues the
-        stream with bit-identical arithmetic.  ``created_ns`` /
-        ``updated_ns`` are *simulation* timestamps (they come from the
-        telemetry, not a wall clock), so checkpointing them is
-        deterministic.
-        """
-        return (
-            self.key,
-            self.wrap_aware,
-            self.created_ns,
-            self.updated_ns,
-            self.protocol,
-            self.packet_size,
-            self.inter_arrival_s,
-            self.queue_occupancy,
-            self.hop_latency_s,
-            self.n_packets,
-            self.total_bytes,
-            self.duration_s,
-            self._last_ts32,
-            self.size_stats.state(),
-            self.iat_stats.state(),
-            self.occ_stats.state(),
-            self.updates,
+        self.size_mean, self.size_m2 = push_moments(
+            n, self.size_mean, self.size_m2, float(length)
+        )
+        self.occ_mean, self.occ_m2 = push_moments(
+            n, self.occ_mean, self.occ_m2, float(queue_occupancy)
         )
 
-    @classmethod
-    def from_state(cls, state: tuple) -> "FlowRecord":
-        """Rebuild a record captured by :meth:`state_snapshot`."""
-        rec = cls(state[0], wrap_aware=state[1])
-        (
-            _key, _wrap,
-            rec.created_ns, rec.updated_ns,
-            rec.protocol, rec.packet_size, rec.inter_arrival_s,
-            rec.queue_occupancy, rec.hop_latency_s,
-            rec.n_packets, rec.total_bytes, rec.duration_s,
-            rec._last_ts32,
-            size_state, iat_state, occ_state,
-            rec.updates,
-        ) = state
-        rec.size_stats.set_state(*size_state)
-        rec.iat_stats.set_state(*iat_state)
-        rec.occ_stats.set_state(*occ_state)
-        return rec
+    def row(self) -> tuple:
+        """The :data:`STATE_FIELDS` values, in order: everything
+        :meth:`update` reads, so a record decoded from the row continues
+        the stream with bit-identical arithmetic."""
+        return tuple(getattr(self, name) for name, _ in STATE_FIELDS)
+
+    @property
+    def size_stats(self) -> Welford:
+        return Welford(self.n_packets, self.size_mean, self.size_m2)
+
+    @property
+    def iat_stats(self) -> Welford:
+        return Welford(max(self.n_packets - 1, 0), self.iat_mean, self.iat_m2)
+
+    @property
+    def occ_stats(self) -> Welford:
+        return Welford(self.n_packets, self.occ_mean, self.occ_m2)
 
     # ------------------------------------------------------------------
     @property
-    def is_new(self) -> bool:
-        """True until the record has been updated at least once beyond
-        creation — the CentralServer skips these (§III-3)."""
-        return self.n_packets <= 1
+    def updates(self) -> int:
+        """Updates folded in: one per packet."""
+        return self.n_packets
 
     def feature_row(self) -> list:
-        """All features as floats in :data:`FEATURE_ORDER` — no dict,
-        no array allocation; the batched feature-matrix fill writes these
-        rows straight into a preallocated matrix."""
+        """All features as floats in :data:`FEATURE_ORDER` — the
+        reference arithmetic the flow table's column-wise feature refresh
+        reproduces bit for bit."""
         dur = self.duration_s
         pps = self.n_packets / dur if dur > 0 else 0.0
         bps = self.total_bytes / dur if dur > 0 else 0.0
@@ -230,25 +192,26 @@ class FlowRecord:
             float(self.protocol),
             self.packet_size,
             self.total_bytes,
-            self.size_stats.mean,
-            self.size_stats.std,
+            self.size_mean,
+            std_of(self.n_packets, self.size_m2),
             self.inter_arrival_s,
             dur,
-            self.iat_stats.mean,
-            self.iat_stats.std,
+            self.iat_mean,
+            std_of(self.n_packets - 1, self.iat_m2),
             self.queue_occupancy,
-            self.occ_stats.mean,
-            self.occ_stats.std,
+            self.occ_mean,
+            std_of(self.n_packets, self.occ_m2),
             float(self.n_packets),
             pps,
             bps,
             self.hop_latency_s,
         ]
 
-    def feature_vector(self, names: Sequence[str]) -> np.ndarray:
-        """Features in schema order for the Prediction module."""
-        lookup = dict(zip(FEATURE_ORDER, self.feature_row()))
-        try:
-            return np.array([lookup[n] for n in names], dtype=np.float64)
-        except KeyError as exc:  # pragma: no cover - schema misuse
-            raise KeyError(f"unknown feature name: {exc}") from exc
+
+#: The per-flow state a :class:`~repro.features.flow_table.FlowTable`
+#: stores, one column per field: the :class:`FlowRecord` fields after
+#: ``key`` and ``wrap_aware``, with their column dtypes.
+STATE_FIELDS = tuple(
+    (f.name, {"int": np.int64, "float": np.float64}[f.type])
+    for f in fields(FlowRecord)[2:]
+)

@@ -6,13 +6,28 @@ time without storing packet history.  Welford's update is the numerically
 stable way to do that — naive sum/sum-of-squares accumulation loses
 precision exactly in the regime the detector cares about (long flows with
 small inter-arrival variance).
+
+:func:`push_moments` and :func:`std_of` are the arithmetic on plain
+``(n, mean, m2)`` values, shared with the flow record's plain fields.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["Welford"]
+__all__ = ["Welford", "push_moments", "std_of"]
+
+
+def push_moments(n: int, mean: float, m2: float, x: float) -> tuple:
+    """Fold observation ``x`` in as the ``n``-th one: the new ``(mean, m2)``."""
+    delta = x - mean
+    mean += delta / n
+    return mean, m2 + delta * (x - mean)
+
+
+def std_of(n: int, m2: float) -> float:
+    """Population standard deviation (0.0 with fewer than two observations)."""
+    return math.sqrt(max(m2 / n if n >= 2 else 0.0, 0.0))
 
 
 class Welford:
@@ -28,32 +43,19 @@ class Welford:
 
     __slots__ = ("n", "mean", "_m2")
 
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
+    def __init__(self, n: int = 0, mean: float = 0.0, m2: float = 0.0) -> None:
+        self.n = n
+        self.mean = mean
+        self._m2 = m2
 
     def push(self, x: float) -> None:
         """Fold one observation into the moments."""
         self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
+        self.mean, self._m2 = push_moments(self.n, self.mean, self._m2, x)
 
     def state(self) -> tuple:
-        """``(n, mean, m2)`` — the raw accumulator triple.
-
-        Used by the batched flow-table fold to gather per-flow moments
-        into flat arrays, run the vectorized update, and scatter back
-        via :meth:`set_state` without losing a bit.
-        """
+        """``(n, mean, m2)`` — the raw accumulator triple."""
         return (self.n, self.mean, self._m2)
-
-    def set_state(self, n: int, mean: float, m2: float) -> None:
-        """Restore an accumulator triple captured by :meth:`state`."""
-        self.n = int(n)
-        self.mean = float(mean)
-        self._m2 = float(m2)
 
     @property
     def variance(self) -> float:
@@ -65,7 +67,7 @@ class Welford:
     @property
     def std(self) -> float:
         """Population standard deviation."""
-        return math.sqrt(max(self.variance, 0.0))
+        return std_of(self.n, self._m2)
 
     def merge(self, other: "Welford") -> "Welford":
         """Combine two streams (parallel-merge form of the update)."""

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.database import KEY_FIELDS, PredictionEntry, PredictionLog
+from repro.features.flow_record import FEATURE_ORDER
 
 from .enforcement import AclTable
 from .rules import FlowRule, RuleAction
@@ -72,6 +73,12 @@ __all__ = [
     "action_log_digest",
     "build_controller",
 ]
+
+#: The flow-table feature columns the flow tier's rules read.
+_PACKETS, _PPS, _BPS = (
+    FEATURE_ORDER.index(name)
+    for name in ("n_packets", "packets_per_second", "bytes_per_second")
+)
 
 #: ttl_ns sentinel meaning "permanent" inside action records (None does
 #: not survive the structured digest line cleanly).
@@ -851,17 +858,15 @@ class MitigationController:
         self, key: tuple, seq: int, now: int, horizon: int
     ) -> List[MitigationAction]:
         """Rule evaluation for one flagged prediction (the rare path)."""
-        rec = self._db.flows.get(key) if self._db is not None else None
-        if rec is None:
+        row = self._db.flows.feature_row(key) if self._db is not None else None
+        if row is None:
             # Coordinator-side merge replay (no ingest here) or an
             # evicted flow: the flow tier already ran where the flow
             # lives.
             return []
-        dur = rec.duration_s
-        pps = rec.n_packets / dur if dur > 0 else 0.0
-        bps = rec.total_bytes / dur if dur > 0 else 0.0
+        pps, bps = row.item(_PPS), row.item(_BPS)
         out: List[MitigationAction] = []
-        for rule in self.engine.evaluate(pps, bps, rec.n_packets):
+        for rule in self.engine.evaluate(pps, bps, int(row.item(_PACKETS))):
             emit_key = (key, rule.name)
             deadline = self._flow_emits.get(emit_key, 0)
             if deadline is None or (deadline != 0 and now < deadline):

@@ -1,7 +1,7 @@
 """Sketch-gated flow admission.
 
 :class:`SketchGate` decides, per telemetry poll slice, which flows earn
-exact :class:`~repro.features.flow_table.FlowRecord` state and which
+an exact :class:`~repro.features.flow_table.FlowTable` row and which
 stay summarized.  The contract:
 
 * **Every** packet updates the count-min sketch (O(1) memory, O(depth)
@@ -198,7 +198,7 @@ class SketchGate:
         src_ip: np.ndarray,
     ) -> np.ndarray:
         """Fold one slice's per-flow aggregates and return the admit
-        mask (True ⇒ exact FlowRecord updates this slice).
+        mask (True ⇒ the flow's exact FlowTable row updates this slice).
 
         ``resident`` marks flows that already hold FlowTable state —
         they are always admitted, so exact windows never lose packets

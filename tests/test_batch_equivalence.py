@@ -10,16 +10,18 @@ tests replay identical telemetry through both modes and compare
 everything, clean and under the PR 1 chaos schedule.
 """
 
+import gc
+import inspect
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AutomatedDDoSDetector, pretrain
 from repro.core.prediction import PredictionUnavailableError
-from repro.features import extract_features
+from repro.features import FlowRecord, Welford, extract_features, flow_table
 from repro.features.batch import group_by_flow
 from repro.features.flow_table import FlowTable
 from repro.features.keys import canonical_flow_key, canonical_key_arrays
@@ -96,8 +98,17 @@ def run_detector(bundle, stream, batched, chaos=None, fast_poll=False,
 
 
 def assert_tables_equal(a: FlowTable, b: FlowTable) -> None:
-    items_a, items_b = list(a.items()), list(b.items())
-    assert [k for k, _ in items_a] == [k for k, _ in items_b]  # incl. LRU order
+    items_a = [(k, a.get(k)) for k in a.keys()]
+    items_b = [(k, b.get(k)) for k in b.keys()]
+    keys = [k for k, _ in items_a]
+    assert keys == [k for k, _ in items_b]  # incl. LRU order
+    # The stored feature rows are the decoded records' feature_row, bit
+    # for bit, on both sides.
+    for table, items in ((a, items_a), (b, items_b)):
+        rows, resident = table.feature_rows(keys)
+        assert resident.all()
+        decoded = np.array([r.feature_row() for _, r in items], dtype=np.float64)
+        assert rows.tobytes() == decoded.tobytes()
     for (_, ra), (_, rb) in zip(items_a, items_b):
         assert ra.feature_row() == rb.feature_row()
         assert ra.size_stats.state() == rb.size_stats.state()
@@ -226,7 +237,7 @@ class TestBatchedDispatchResilience:
         det, n = self._fed_detector(bundle)
         updates = det.db.poll_updates()
         for key in {u[0] for u in updates[:3]}:
-            del det.db.flows._flows[key]  # simulate flood-pressure eviction
+            del det.db.flows._slot[key]  # simulate flood-pressure eviction
         det.central._dispatch_batched(updates, None, 0)
         stats = det.central.stats()
         assert stats["skipped_evicted"] == 3
@@ -311,6 +322,12 @@ class TestUpdateBatchProperties:
         n=st.integers(1, 80),
         max_flows=st.integers(1, 5),
     )
+    # A flow resident at slice start is evicted, then re-created by a
+    # later record of the same slice: two incarnations, two slots.
+    @example(seed=4, n=16, max_flows=3)
+    # More new flows in one slice than max_flows: a flow is created and
+    # evicted inside the slice.
+    @example(seed=0, n=12, max_flows=2)
     def test_max_flows_eviction_mid_batch(self, seed, n, max_flows):
         rng = np.random.default_rng(seed)
         records = _random_records(rng, n)
@@ -338,6 +355,35 @@ class TestUpdateBatchProperties:
         )
 
 
+class TestColumnarTable:
+    def test_update_batch_is_one_fold(self):
+        """The batched fold never replays the scalar path, and the table
+        no longer moves state through per-record Welford objects."""
+        fold = inspect.getsource(FlowTable.update_batch)
+        assert "self.update(" not in fold
+        assert "FlowRecord(" not in fold
+        module = inspect.getsource(flow_table)
+        assert ".state()" not in module
+        assert "set_state(" not in module
+
+    def test_no_flow_objects_survive_a_run(self, bundle, stream):
+        """Flow state lives in columns: after a run under eviction
+        pressure no FlowRecord or Welford is left on the heap."""
+        det, _ = run_detector(bundle, stream, True, max_flows=7)
+        assert det.db.flows.evicted > 0
+        gc.collect()
+        assert not [
+            o for o in gc.get_objects() if isinstance(o, (FlowRecord, Welford))
+        ]
+
+    def test_decision_windows_gauge(self, bundle, stream):
+        det, _ = run_detector(bundle, stream, True, max_flows=7)
+        stats = det.stats()
+        assert stats["decision_windows"] == len(det.processor.decision)
+        # Windows are not dropped on eviction (no caller of forget yet).
+        assert stats["decision_windows"] > len(det.db.flows)
+
+
 class TestExpireIdleFastScan:
     def test_stops_at_first_fresh_record(self):
         table = FlowTable(idle_timeout_ns=100)
@@ -346,7 +392,7 @@ class TestExpireIdleFastScan:
                          length=100.0, protocol=6)
         # cutoff = 450 - 100 = 350: flows updated at 0..300 are stale.
         assert table.expire_idle(450) == 7
-        assert [k for k, _ in table.items()] == [(7,), (8,), (9,)]
+        assert list(table.keys()) == [(7,), (8,), (9,)]
         assert table.expired == 7
         assert table.expire_idle(450) == 0
 

@@ -60,6 +60,11 @@ def _drive(table, seq, t0=0):
         )
 
 
+def _rows(table):
+    """(key, state row) pairs in LRU order."""
+    return [(k, table.get(k).row()) for k in table.keys()]
+
+
 def _roundtrip_table(table, max_flows=None):
     blob = pack_state({"flows": table.state_snapshot()})
     fresh = FlowTable(max_flows=max_flows, wrap_aware=table.wrap_aware)
@@ -76,11 +81,13 @@ def test_flow_table_roundtrip_bit_identical(seq):
     table = FlowTable()
     _drive(table, seq)
     fresh = _roundtrip_table(table)
-    # exact tuple equality: Welford (n, mean, m2) floats compare by bits
-    assert [r.state_snapshot() for r in fresh.records()] == [
-        r.state_snapshot() for r in table.records()
-    ]
-    assert [k for k, _ in fresh.items()] == [k for k, _ in table.items()]
+    # exact tuple equality: Welford (mean, m2) floats compare by bits
+    assert _rows(fresh) == _rows(table)
+    keys = list(table.keys())
+    assert (
+        fresh.feature_rows(keys)[0].tobytes()
+        == table.feature_rows(keys)[0].tobytes()
+    )
     assert (fresh.created, fresh.evicted, fresh.expired) == (
         table.created, table.evicted, table.expired
     )
@@ -93,16 +100,18 @@ def test_flow_table_roundtrip_under_eviction_pressure(seq, max_flows):
     identical further traffic must evict identical victims."""
     table = FlowTable(max_flows=max_flows)
     _drive(table, seq)
+    # The snapshot is columns and counters: ndarrays and ints only.
+    snap = table.state_snapshot()
+    assert all(isinstance(v, (np.ndarray, int)) for v in snap.values())
+    assert snap["keys"].shape == (len(table), 5)
     fresh = _roundtrip_table(table, max_flows=max_flows)
-    assert [k for k, _ in fresh.items()] == [k for k, _ in table.items()]
+    assert list(fresh.keys()) == list(table.keys())
     assert fresh.evicted == table.evicted
     # continue both under the same traffic: evictions must match exactly
     tail = [(i + 2, 77, 100.0, 0.0, 0.0) for i in range(8)]
     _drive(table, tail, t0=10**9)
     _drive(fresh, tail, t0=10**9)
-    assert [r.state_snapshot() for r in fresh.records()] == [
-        r.state_snapshot() for r in table.records()
-    ]
+    assert _rows(fresh) == _rows(table)
     assert fresh.evicted == table.evicted
 
 
@@ -117,9 +126,7 @@ def test_flow_table_continue_after_restore_is_equivalent(seq):
     tail = [(i % 8, 12345, 333.5, 2.0, 7.0) for i in range(10)]
     _drive(table, tail, t0=5 * 10**8)
     _drive(fresh, tail, t0=5 * 10**8)
-    for (k1, r1), (k2, r2) in zip(table.items(), fresh.items()):
-        assert k1 == k2
-        assert r1.state_snapshot() == r2.state_snapshot()
+    assert _rows(fresh) == _rows(table)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features import FlowTable, extract_features, feature_names
+from repro.features import FEATURE_ORDER, FlowTable, extract_features, feature_names
 from repro.features.extract import _segmented_cumsum
 from repro.int_telemetry import REPORT_DTYPE, WRAP_PERIOD_NS
 from repro.sflow import SAMPLE_DTYPE
@@ -158,5 +158,5 @@ def test_vectorized_equals_streaming(n_flows, n_packets, seed):
         frec = ft.update(key, int(r["ts_report"]), int(r["ingress_ts"]),
                          float(r["length"]), int(r["protocol"]),
                          float(r["queue_occupancy"]), float(r["hop_latency"]))
-        v = frec.feature_vector(names)
+        v = np.asarray(frec.feature_row())[[FEATURE_ORDER.index(n) for n in names]]
         np.testing.assert_allclose(v, fm.X[i], rtol=1e-6, atol=1e-7)

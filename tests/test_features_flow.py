@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.features import FlowRecord, FlowTable, feature_names
+from repro.core.database import FlowDatabase
+from repro.core.processor import DataProcessor
+from repro.features import FEATURE_ORDER, FlowRecord, FlowTable, feature_names
 from repro.int_telemetry import WRAP_PERIOD_NS
 
 KEY = (1, 2, 3, 4, 6)
@@ -19,7 +21,6 @@ class TestFlowRecord:
         assert rec.duration_s == 0.0
         assert rec.iat_stats.n == 0
         assert rec.packet_size == 500
-        assert rec.is_new
 
     def test_packet_level_replaced(self):
         rec = FlowRecord(KEY)
@@ -27,7 +28,7 @@ class TestFlowRecord:
         rec.update(10, 1_000_000, 800, 6, queue_occupancy=7)
         assert rec.packet_size == 800
         assert rec.queue_occupancy == 7
-        assert not rec.is_new
+        assert rec.n_packets == 2
 
     def test_flow_level_aggregated(self):
         rec = FlowRecord(KEY)
@@ -56,9 +57,8 @@ class TestFlowRecord:
         rec.update(0, 0, 500, 6, queue_occupancy=3)
         rec.update(10, 2_000_000, 700, 6, queue_occupancy=5)
         names = feature_names("int")
-        v = rec.feature_vector(names)
-        assert v.shape == (len(names),)
-        d = dict(zip(names, v))
+        assert set(names) <= set(FEATURE_ORDER)
+        d = dict(zip(FEATURE_ORDER, rec.feature_row()))
         assert d["protocol"] == 6
         assert d["packet_size"] == 700
         assert d["packet_size_cum"] == 1200
@@ -70,16 +70,16 @@ class TestFlowRecord:
         rec = FlowRecord(KEY)
         rec.update(0, 0, 1000, 17)
         rec.update(10, 2_000_000_000, 1000, 17)  # 2 s later
-        names = ["packets_per_second", "bytes_per_second"]
-        pps, bps = rec.feature_vector(names)
+        d = dict(zip(FEATURE_ORDER, rec.feature_row()))
+        pps, bps = d["packets_per_second"], d["bytes_per_second"]
         assert pps == pytest.approx(1.0)  # 2 packets / 2 s
         assert bps == pytest.approx(1000.0)
 
     def test_unknown_feature_raises(self):
-        rec = FlowRecord(KEY)
-        rec.update(0, 0, 100, 6)
-        with pytest.raises(KeyError):
-            rec.feature_vector(["nope"])
+        """A schema name outside FEATURE_ORDER is rejected when the Data
+        Processor is built, not at the first poll."""
+        with pytest.raises(ValueError, match="nope"):
+            DataProcessor(FlowDatabase(), list(feature_names("int")) + ["nope"])
 
 
 class TestFlowTable:
@@ -87,7 +87,10 @@ class TestFlowTable:
         ft = FlowTable()
         r1 = ft.update(KEY, 0, 0, 100, 6)
         r2 = ft.update(KEY, 10, 1000, 200, 6)
-        assert r1 is r2
+        # update returns a decoded copy of the flow's row: the second
+        # packet lands in the same row, not in a new flow
+        assert (r1.n_packets, r2.n_packets) == (1, 2)
+        assert ft.get(KEY).row() == r2.row()
         assert len(ft) == 1
         assert ft.created == 1
 

@@ -22,8 +22,8 @@ from .test_mitigation_controller import (
     SEC,
     SERVER,
     StubDetector,
-    StubRecord,
     entry,
+    feed_flow,
     flow_key,
     store,
 )
@@ -150,7 +150,7 @@ def loop(*tables, rules=(rule(),), **config):
 
 def flag(det, key=KEY, ts=0, seq=0, decision=1):
     """Store one decision for a 1000 pps flow."""
-    det.db.flows[key] = StubRecord(100, 6400, 0.1)
+    feed_flow(det, key, 4, 1000.0)
     store(det, entry(key, ts, seq, decision))
 
 

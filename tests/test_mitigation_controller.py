@@ -31,6 +31,7 @@ from repro.core.checkpoint import (
     unpack_state,
 )
 from repro.core.database import PredictionEntry, PredictionLog
+from repro.features.flow_table import FlowTable
 from repro.mitigation import (
     BlockTable,
     MitigationConfig,
@@ -48,24 +49,13 @@ SERVER = 0x0A0A0050
 
 
 # ---------------------------------------------------------------------------
-# harness: a minimal detector stand-in for the flow tier
+# harness: a minimal detector stand-in for the flow tier — a prediction
+# log and a real flow table fed with packets
 # ---------------------------------------------------------------------------
-class StubRecord:
-    def __init__(self, n_packets, total_bytes, duration_s):
-        self.n_packets = n_packets
-        self.total_bytes = total_bytes
-        self.duration_s = duration_s
-
-
-class StubFlows(dict):
-    def get(self, key, default=None):  # FlowTable API
-        return dict.get(self, key, default)
-
-
 class StubDB:
     def __init__(self):
         self.predictions = PredictionLog()
-        self.flows = StubFlows()
+        self.flows = FlowTable()
 
 
 class StubDetector:
@@ -92,10 +82,21 @@ def store(det, *entries):
     det.db.predictions.extend(rows_of(entries))
 
 
-def hot_flow(det, i, ts, seq, pps=1000.0, packets=100):
-    """Register a flagged hot flow + its prediction row on the stub."""
+def feed_flow(det, key, packets, pps):
+    """Feed ``packets`` 64-byte packets of ``key`` into the stub's flow
+    table, ``1/pps`` s apart on the INT clock, continuing the flow."""
+    flows = det.db.flows
+    rec = flows.get(key)
+    start = 0 if rec is None else rec.n_packets
+    gap_ns = int(SEC / pps)
+    for i in range(start, start + packets):
+        flows.update(key, i * gap_ns, (i * gap_ns) % 2**32, 64.0, 6)
+
+
+def hot_flow(det, i, ts, seq, pps=1000.0, packets=4):
+    """Feed a flagged hot flow's packets + its prediction row to the stub."""
     key = flow_key(i)
-    det.db.flows[key] = StubRecord(packets, packets * 64, packets / pps)
+    feed_flow(det, key, packets, pps)
     store(det, entry(key, ts, seq))
     return key
 
@@ -319,7 +320,7 @@ class TestFlowTier:
     def test_benign_and_undecided_ignored(self):
         det, ctrl = self.loop()
         key = flow_key(1)
-        det.db.flows[key] = StubRecord(100, 6400, 0.1)
+        feed_flow(det, key, 100, 1000.0)
         store(
             det,
             entry(key, 0, 0, decision=0),

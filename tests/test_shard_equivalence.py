@@ -115,6 +115,9 @@ class TestShardedEquivalence:
         assert det.shard_stats is not None and len(det.shard_stats) == 2
         served = sum(s["predictions_served"] for s in det.shard_stats)
         assert served == len(db.predictions)
+        # Each flow lives on one shard, so its decision window does too.
+        windows = sum(s["decision_windows"] for s in det.shard_stats)
+        assert windows == len({e.key for e in db.predictions})
         stats = det.stats()
         assert len(stats["shards"]) == 2
 
