@@ -2,8 +2,9 @@
 
 The paper's CentralServer 'continuously communicates with the database
 to check whether there is an update in the records' — an O(resident
-flows) scan per cycle.  The obvious production fix is an indexed
-dirty-set.  This bench runs the live mechanism both ways on a
+flows) scan per cycle.  The obvious production fix is to read the
+pending-update queue alone (``fast_poll``; both poll modes hand out the
+same block).  This bench runs the live mechanism both ways on a
 many-flow stream and compares the *database work* (records touched per
 poll — deterministic, unlike wall-clock latency) and verifies the
 detection outcome is identical.

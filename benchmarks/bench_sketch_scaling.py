@@ -186,7 +186,7 @@ def bundle(mixed):
 
 # ---------------------------------------------------------------------------
 # ingest drivers (table layer only — the memory/throughput story needs
-# no ML, and the dirty-map/prediction machinery would blur the number)
+# no ML, and the pending-update/prediction machinery would blur the number)
 # ---------------------------------------------------------------------------
 def _ingest_exact(records, table):
     for start in range(0, records.shape[0], SLICE):

@@ -28,7 +28,7 @@ Production hardening beyond the paper:
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class CentralServer:
 
     #: Updates per deadline check in the batched scatter loop.
     BATCH_SHED_CHUNK = 64
+    #: Every counter, in stats order.
+    COUNTERS = ("cycles", "updates_dispatched", "skipped_evicted", "updates_shed",
+                "deadline_hits", "poll_retries", "poll_failures")
 
     def __init__(
         self,
@@ -107,7 +110,7 @@ class CentralServer:
         self.poll_failures = 0
 
     # ------------------------------------------------------------------
-    def _poll(self, limit: Optional[int]) -> List[Tuple[tuple, int, int, int]]:
+    def _poll(self, limit: Optional[int]) -> np.ndarray:
         """Database poll with bounded exponential-backoff retries."""
 
         def note_retry(attempt: int, exc: BaseException) -> None:
@@ -147,9 +150,11 @@ class CentralServer:
         """Run one coordination round; returns updates polled.
 
         ``deadline_ns`` overrides the instance budget for this cycle.
-        A ``batched`` server materializes one feature matrix for the
-        polled batch and calls every panel member once per cycle; the
-        scalar mode predicts update-by-update (the paper-faithful loop).
+        The poll hands out one block of pending rows.  A ``batched``
+        server materializes one feature matrix for it and calls every
+        panel member once per cycle; the scalar mode walks the same block
+        row by row (the paper-faithful loop, and the batched path's
+        bit-identity oracle).
         """
         self.cycles += 1
         budget = deadline_ns if deadline_ns is not None else self.deadline_ns
@@ -157,18 +162,12 @@ class CentralServer:
         updates = self._poll(max_updates)
         if self.batched:
             return self._dispatch_batched(updates, budget, started)
-        for i, (key, ts_sim, wall_reg, seq) in enumerate(updates):
+        for i in range(len(updates)):
             if budget is not None and self.clock() - started > budget:
-                shed = len(updates) - i
-                self.updates_shed += shed
-                self.deadline_hits += 1
-                if self.watchdog is not None:
-                    self.watchdog.degraded(
-                        "central",
-                        f"cycle deadline {budget} ns exceeded; shed {shed} updates",
-                    )
+                self._shed_late(budget, len(updates) - i)
                 return len(updates)
-            features = self.processor.features_for(key)
+            update = updates[i : i + 1]
+            features = self.processor.features_for(update)
             if features is None:
                 # Flow evicted between poll and dispatch (flood-pressure
                 # shedding); counted so the loss is visible in stats.
@@ -182,20 +181,20 @@ class CentralServer:
                 if self.watchdog is not None:
                     self.watchdog.failed("prediction", str(exc))
                 return len(updates)
-            self.processor.receive_predictions(
-                key, ts_sim, wall_reg, votes, seq,
+            self.processor.receive_predictions_batch(
+                update, np.asarray(votes)[None, :],
                 epoch=self.prediction.panel_epoch,
             )
             self.updates_dispatched += 1
-        if self.watchdog is not None and updates:
+        if self.watchdog is not None and len(updates):
             self.watchdog.healthy("central")
         return len(updates)
 
     # ------------------------------------------------------------------
     def _dispatch_batched(self, updates, budget, started) -> int:
         """Batched step ⑤→⑦: one feature matrix, one ``predict_batch``
-        per panel member, votes scattered back through the per-flow
-        sliding windows in update order.
+        per panel member, votes scattered back through the flows'
+        sliding windows in row order.
 
         Resilience semantics carry over from the scalar loop: evicted
         flows are skipped and counted, an all-quarantined panel sheds
@@ -208,16 +207,9 @@ class CentralServer:
         if n == 0:
             return 0
         if budget is not None and self.clock() - started > budget:
-            self.updates_shed += n
-            self.deadline_hits += 1
-            if self.watchdog is not None:
-                self.watchdog.degraded(
-                    "central",
-                    f"cycle deadline {budget} ns exceeded before dispatch; "
-                    f"shed {n} updates",
-                )
+            self._shed_late(budget, n, " before dispatch")
             return n
-        X, valid = self.processor.features_matrix([u[0] for u in updates])
+        X, valid = self.processor.features_matrix(updates)
         vi = np.flatnonzero(valid)
         self.skipped_evicted += n - vi.size
         if vi.size == 0:
@@ -229,19 +221,12 @@ class CentralServer:
             if self.watchdog is not None:
                 self.watchdog.failed("prediction", str(exc))
             return n
-        live = [updates[i] for i in vi.tolist()]
+        live = updates[vi]
         chunk = self.BATCH_SHED_CHUNK
         done = 0
         while done < len(live):
             if budget is not None and self.clock() - started > budget:
-                shed = len(live) - done
-                self.updates_shed += shed
-                self.deadline_hits += 1
-                if self.watchdog is not None:
-                    self.watchdog.degraded(
-                        "central",
-                        f"cycle deadline {budget} ns exceeded; shed {shed} updates",
-                    )
+                self._shed_late(budget, len(live) - done)
                 return n
             part = live[done : done + chunk]
             self.processor.receive_predictions_batch(
@@ -253,6 +238,16 @@ class CentralServer:
         if self.watchdog is not None:
             self.watchdog.healthy("central")
         return n
+
+    def _shed_late(self, budget: int, shed: int, when: str = "") -> None:
+        """Count a cycle-deadline overrun that sheds ``shed`` updates."""
+        self.updates_shed += shed
+        self.deadline_hits += 1
+        if self.watchdog is not None:
+            self.watchdog.degraded(
+                "central",
+                f"cycle deadline {budget} ns exceeded{when}; shed {shed} updates",
+            )
 
     def drain(
         self,
@@ -282,38 +277,16 @@ class CentralServer:
         return total
 
     # ------------------------------------------------------------------
-    # checkpoint/restore
+    # checkpoint/restore: the counters are the coordinator's only mutable
+    # state (the modules it stitches together snapshot themselves)
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """Cycle/dispatch counters (the coordinator's only mutable
-        state — the modules it stitches together snapshot themselves)."""
-        return {
-            "cycles": self.cycles,
-            "updates_dispatched": self.updates_dispatched,
-            "skipped_evicted": self.skipped_evicted,
-            "updates_shed": self.updates_shed,
-            "deadline_hits": self.deadline_hits,
-            "poll_retries": self.poll_retries,
-            "poll_failures": self.poll_failures,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def state_restore(self, state: dict) -> None:
-        self.cycles = int(state["cycles"])
-        self.updates_dispatched = int(state["updates_dispatched"])
-        self.skipped_evicted = int(state["skipped_evicted"])
-        self.updates_shed = int(state["updates_shed"])
-        self.deadline_hits = int(state["deadline_hits"])
-        self.poll_retries = int(state["poll_retries"])
-        self.poll_failures = int(state["poll_failures"])
+        for name in self.COUNTERS:
+            setattr(self, name, int(state[name]))
 
     def stats(self) -> dict:
         """Counters for the mechanism's stats surface."""
-        return {
-            "cycles": self.cycles,
-            "updates_dispatched": self.updates_dispatched,
-            "skipped_evicted": self.skipped_evicted,
-            "updates_shed": self.updates_shed,
-            "deadline_hits": self.deadline_hits,
-            "poll_retries": self.poll_retries,
-            "poll_failures": self.poll_failures,
-        }
+        return self.state_snapshot()

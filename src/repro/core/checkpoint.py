@@ -1,8 +1,8 @@
 """Checkpoint packing for the fault-tolerant sharded runtime.
 
 A shard worker's whole deterministic state — flow table (Welford
-accumulators, LRU order), dirty-update map, prediction log, sliding
-decision windows, panel quarantine state, cycle counters — can be
+accumulators, LRU order, sliding decision windows), pending-update rows,
+prediction log, panel quarantine state, cycle counters — can be
 captured at a CYCLE boundary, shipped to the coordinator as one packed
 blob, and restored into a freshly spawned worker after a crash.  The
 coordinator then replays only the telemetry delivered *after* the
@@ -19,8 +19,8 @@ The content hash makes a truncated or corrupted blob loudly detectable
 checkpoints cross a process boundary over a pipe, and the writer may be
 SIGKILLed mid-send.
 
-Wall-clock stamps inside checkpointed state (dirty-map registration
-stamps, stored prediction entries) are per-process values that the
+Wall-clock stamps inside checkpointed state (pending-row registration
+stamps, stored prediction rows) are per-process values that the
 digest excludes; carrying them through a restore keeps latency
 *accounting* continuous but does not affect result identity.
 """

@@ -14,14 +14,17 @@ merge.  Writers hand it whole blocks through
 demand when the log is indexed or iterated.
 
 The CentralServer "continuously communicates with the database to check
-whether there is an update in the records" (§III-3).  We model that poll
-faithfully: :meth:`poll_updates` *scans the resident flow keys* for a
-dirty flag rather than consuming an efficient queue.  The scan cost is
-proportional to the number of live flows — the very scaling bottleneck
-the paper observes when benign traffic (many concurrent flows) drives
-prediction latency up (Table VI, §V).  Set ``fast_poll=True`` to use an
-indexed dirty-set instead, which is the obvious production fix and the
-subject of an ablation bench.
+whether there is an update in the records" (§III-3).  Every registered
+update is one :data:`PENDING_DTYPE` row — the ``(slot, incarnation)``
+handle of its flow's flow-table life plus its stamps — appended in
+registration order, and :meth:`FlowDatabase.poll_updates` hands out the
+oldest rows as one block.  The default poll also *walks the resident
+flow keys*, as the paper's database scan for updated records would: its
+cost is proportional to the number of live flows — the very scaling
+bottleneck the paper observes when benign traffic (many concurrent
+flows) drives prediction latency up (Table VI, §V).  ``fast_poll=True``
+skips the walk, the obvious production fix and the subject of an
+ablation bench; the block is the same either way.
 """
 
 from __future__ import annotations
@@ -31,11 +34,18 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.features.batch import FlowBatch
 from repro.features.flow_record import FEATURE_ORDER
 from repro.features.flow_table import FlowTable
 
-__all__ = ["FlowDatabase", "PredictionEntry", "PredictionLog", "RESULT_DTYPE"]
+__all__ = ["FlowDatabase", "PENDING_DTYPE", "PredictionEntry", "PredictionLog",
+           "RESULT_DTYPE"]
+
+#: One pending update: the flow-table handle of the registering flow's
+#: life, its simulated and wall registration stamps and its
+#: delivered-stream seq.
+PENDING_DTYPE = np.dtype([(name, "i8") for name in (
+    "slot", "incarnation", "ts_registered_ns", "wall_registered_ns", "seq",
+)])
 
 #: One prediction-log row: the flow key as five int64 columns, the
 #: telemetry and both wall stamps, the aggregated label, the per-model
@@ -101,7 +111,57 @@ class PredictionEntry:
         return self.wall_predicted_ns - self.wall_registered_ns
 
 
-class PredictionLog:
+class Rows:
+    """A growable structured array of one ``dtype``: ``rows`` is a view
+    of the resident rows, appended in blocks, dropped off the front
+    (:meth:`trim`) or compacted (:meth:`keep`) in place."""
+
+    def __init__(self, dtype: np.dtype, rows: Optional[np.ndarray] = None) -> None:
+        self._buf = np.empty(64, dtype=dtype)
+        self._n = 0
+        if rows is not None:
+            self.extend(rows)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[: self._n]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def extend(self, block: np.ndarray) -> None:
+        """Append a block of rows (amortized O(rows): the buffer doubles)."""
+        if block.dtype != self._buf.dtype:
+            raise TypeError(f"rows must be {self._buf.dtype}, not {block.dtype}")
+        m = int(block.shape[0])
+        if m == 0:
+            return
+        end = self._n + m
+        if end > self._buf.shape[0]:
+            grown = np.empty(max(end, 2 * self._buf.shape[0]), dtype=block.dtype)
+            grown[: self._n] = self._buf[: self._n]
+            self._buf = grown
+        # Byte copy: same dtype, and a structured assignment costs
+        # microseconds of per-field dispatch on every (often tiny) block.
+        self._buf[self._n : end].view(np.uint8)[:] = (
+            np.ascontiguousarray(block).view(np.uint8)
+        )
+        self._n = end
+
+    def trim(self, n: int) -> None:
+        """Drop the oldest ``n`` resident rows in place."""
+        if n > self._n:
+            raise ValueError(f"cannot trim {n} of {self._n} resident rows")
+        self.keep(slice(max(n, 0), None))
+
+    def keep(self, which: Any) -> None:
+        """Keep the rows ``which`` (a mask or a slice) selects, in order."""
+        kept = self.rows[which]
+        self._n = kept.shape[0]
+        self._buf[: self._n] = kept
+
+
+class PredictionLog(Rows):
     """The prediction log: one growable :data:`RESULT_DTYPE` array.
 
     ``rows`` is a view of the resident rows; columns are read straight
@@ -113,58 +173,20 @@ class PredictionLog:
     """
 
     def __init__(self, rows: Optional[np.ndarray] = None, base: int = 0) -> None:
-        self._buf = np.empty(64, dtype=RESULT_DTYPE)
-        self._n = 0
+        super().__init__(RESULT_DTYPE, rows)
         self.base = int(base)
-        if rows is not None:
-            self.extend(rows)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._buf[: self._n]
 
     @property
     def total(self) -> int:
         """Rows stored over the log's life, trimmed ones included."""
         return self.base + self._n
 
-    def __len__(self) -> int:
-        return self._n
-
-    def extend(self, block: np.ndarray) -> None:
-        """Append a block of rows (amortized O(rows): the buffer doubles)."""
-        if block.dtype != RESULT_DTYPE:
-            raise TypeError(
-                f"prediction rows must be RESULT_DTYPE, not {block.dtype}"
-            )
-        m = int(block.shape[0])
-        if m == 0:
-            return
-        end = self._n + m
-        if end > self._buf.shape[0]:
-            grown = np.empty(max(end, 2 * self._buf.shape[0]), dtype=RESULT_DTYPE)
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
-        # Byte copy: same dtype, and a structured assignment costs
-        # microseconds of per-field dispatch on every (often tiny) block.
-        self._buf[self._n : end].view(np.uint8)[:] = (
-            np.ascontiguousarray(block).view(np.uint8)
-        )
-        self._n = end
-
     def trim(self, n: int) -> None:
         """Drop the oldest ``n`` resident rows in place, advancing
         :attr:`base`."""
-        if n <= 0:
-            return
-        if n > self._n:
-            raise ValueError(
-                f"cannot trim {n} of {self._n} resident predictions"
-            )
-        rest = self._n - n
-        self._buf[:rest] = self._buf[n : self._n]
-        self._n = rest
-        self.base += n
+        if n > 0:
+            super().trim(n)
+            self.base += n
 
     def canonical_order(self) -> np.ndarray:
         """Resident row indices in the canonical ``(seq, key)`` order —
@@ -223,15 +245,17 @@ class PredictionLog:
 
 
 class FlowDatabase:
-    """Flow-record store plus update tracking and prediction log.
+    """Flow-record store plus the pending-update queue and prediction log.
 
     Parameters
     ----------
     flow_table : FlowTable, optional
         Shared with the Data Processor; created if omitted.
     fast_poll : bool
-        Use an O(dirty) indexed poll instead of the paper-faithful
-        O(live flows) scan.
+        Skip the paper-faithful O(live flows) walk of every poll; the
+        block is the same, only ``records_scanned`` differs.
+    skip_new_flows : bool
+        Withhold updates of one-packet flows (see :meth:`poll_updates`).
     """
 
     def __init__(
@@ -243,55 +267,37 @@ class FlowDatabase:
         self.flows = flow_table if flow_table is not None else FlowTable()
         self.fast_poll = bool(fast_poll)
         self.skip_new_flows = bool(skip_new_flows)
-        # Pending-update bookkeeping.  The dirty dict maps flow key to the
-        # registration stamps of not-yet-predicted updates (a flow may
-        # receive several packets between polls; each is one update).
-        # Each stamp is ``(ts_sim_ns, wall_ns, seq)``.
-        self._dirty: Dict[tuple, List[Tuple[int, int, int]]] = {}
+        #: Not-yet-predicted updates in registration order (one row per
+        #: packet: a flow may receive several between polls).
+        self.pending = Rows(PENDING_DTYPE)
         self.predictions = PredictionLog()
         self.updates_registered = 0
+        self.updates_evicted = 0
         self.polls = 0
         self.records_scanned = 0
 
     # ------------------------------------------------------------------
     # Data Processor side (steps ③ and ⑧)
     # ------------------------------------------------------------------
-    def register_update(
-        self, key: tuple, ts_sim_ns: int, wall_ns: int, seq: int = -1
-    ) -> None:
-        """Mark a flow's record as updated (step ③)."""
-        self._dirty.setdefault(key, []).append((ts_sim_ns, wall_ns, seq))
-        self.updates_registered += 1
-
     def register_update_batch(
         self,
-        batch: FlowBatch,
-        ts_sim_ns: np.ndarray,
+        slots: Sequence[int],
+        incarnations: Sequence[int],
+        ts_sim_ns: Sequence[int],
         wall_ns: Sequence[int],
         seqs: Optional[Sequence[int]] = None,
     ) -> None:
-        """Batched :meth:`register_update` for one grouped telemetry
-        slice — one dict probe per *flow* instead of one per packet.
-
-        Pending-update order is kept byte-identical to the scalar path:
-        groups are visited in first-occurrence order (so a flow newly
-        dirtied by this batch lands in the dirty dict exactly where the
-        scalar path would have inserted it) and each group's stamps are
-        appended in arrival order.  ``seqs`` carries the per-record
-        delivered-stream sequence numbers (``-1`` when absent).
-        """
-        ts_list = np.asarray(ts_sim_ns).tolist()
-        if seqs is None:
-            seq_list: Sequence[int] = [-1] * batch.n
-        else:
-            seq_list = np.asarray(seqs).tolist()
-        dirty = self._dirty
-        for g in np.argsort(batch.first_pos, kind="stable").tolist():
-            rows = batch.group_rows(g).tolist()
-            lst = dirty.setdefault(batch.keys[g], [])
-            for r in rows:
-                lst.append((ts_list[r], wall_ns[r], seq_list[r]))
-        self.updates_registered += batch.n
+        """Flag updated records (step ③): one pending row per record, in
+        record order, with the flow-table handles ``update_batch``
+        returned (``seqs`` default ``-1``)."""
+        block = np.empty(len(slots), PENDING_DTYPE)
+        block["slot"] = slots
+        block["incarnation"] = incarnations
+        block["ts_registered_ns"] = ts_sim_ns
+        block["wall_registered_ns"] = wall_ns
+        block["seq"] = -1 if seqs is None else seqs
+        self.pending.extend(block)
+        self.updates_registered += block.shape[0]
 
     def store_predictions(self, block: np.ndarray) -> None:
         """Persist a block of aggregated predictions (step ⑧)."""
@@ -312,67 +318,56 @@ class FlowDatabase:
     # ------------------------------------------------------------------
     # CentralServer side (step ④)
     # ------------------------------------------------------------------
-    def poll_updates(
-        self, limit: Optional[int] = None
-    ) -> List[Tuple[tuple, int, int, int]]:
-        """Collect pending updates, oldest-first per flow.
+    def poll_updates(self, limit: Optional[int] = None) -> np.ndarray:
+        """The oldest ``limit`` (default: all) pending updates as one
+        :data:`PENDING_DTYPE` block, in registration order.  Rows of
+        ended flow lives are dropped and counted (``updates_evicted``).
 
-        Returns tuples ``(key, ts_sim_ns, wall_registered_ns, seq)``.
-
-        With ``skip_new_flows`` set, records holding a single packet are
-        withheld (a literal reading of §III-3's "does not consider new
-        entries with new Flow IDs"); their updates stay queued until a
-        second packet arrives.  The default predicts on every update
-        including the creating packet — the only behaviour consistent
-        with Table VI, whose per-type predicted counts cover (and for
-        scans/floods roughly equal) the replayed packets, most of which
-        belong to one-packet flows.  Under the literal reading those
-        flows would never be predicted at all.
+        With ``skip_new_flows``, updates of one-packet records stay
+        queued, in order, until a second packet arrives (a literal
+        reading of §III-3's "does not consider new entries with new Flow
+        IDs").  The default predicts every update including the creating
+        packet — the only behaviour consistent with Table VI, whose
+        per-type predicted counts cover the replayed packets, most of
+        which belong to one-packet flows.
         """
         self.polls += 1
-        out: List[Tuple[tuple, int, int, int]] = []
         flows = self.flows
-        if self.fast_poll:
-            candidates = list(self._dirty.keys())
-        else:
-            # Paper-faithful: walk every resident flow looking for dirty
-            # ones.  The walk itself is the cost being modeled.
-            candidates = []
-            for key in flows.keys():
-                self.records_scanned += 1
-                if key in self._dirty:
-                    candidates.append(key)
-
-        for key in candidates:
-            if key not in flows:
-                # Evicted under flood pressure; drop its pending updates.
-                del self._dirty[key]
-                continue
-            if self.skip_new_flows and flows.feature_row(key)[_N_PACKETS] <= 1:
-                continue  # wait for the first real update (§III-3 literal)
-            stamps = self._dirty.pop(key)
-            for i, (ts_sim, wall, seq) in enumerate(stamps):
-                out.append((key, ts_sim, wall, seq))
-                if limit is not None and len(out) >= limit:
-                    rest = stamps[i + 1 :]  # requeue what didn't fit
-                    if rest:
-                        self._dirty.setdefault(key, []).extend(rest)
-                    return out
-        return out
+        if not self.fast_poll:
+            # Paper-faithful: walk every resident record for its update
+            # flag.  The walk itself is the cost being modeled.
+            self.records_scanned += sum(1 for _ in flows.keys())
+        rows = self.pending.rows
+        slots = rows["slot"]
+        live = flows.incarnation[slots] == rows["incarnation"]
+        ready = live
+        if self.skip_new_flows:
+            ready = live & (flows.features_at(slots)[:, _N_PACKETS] > 1)
+        take = np.flatnonzero(ready)[:limit]
+        block = rows[take]
+        self.updates_evicted += rows.shape[0] - int(np.count_nonzero(live))
+        live[take] = False
+        self.pending.keep(live)
+        return block
 
     # ------------------------------------------------------------------
     # checkpoint/restore
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """Database state as a plain picklable dict: the flow table,
-        the dirty map (in insertion order — poll order depends on it),
-        the prediction log, and the counters."""
+        """Database state as ndarrays and ints: the flow table, the
+        pending rows (their handles translated to the restored table's
+        slots), the prediction log, and the counters."""
+        pending = self.pending.rows.copy()
+        pending["slot"], pending["incarnation"] = self.flows.restored_handles(
+            pending["slot"], pending["incarnation"]
+        )
         return {
             "flows": self.flows.state_snapshot(),
-            "dirty": [(k, list(v)) for k, v in self._dirty.items()],
+            "pending": pending,
             "predictions": self.predictions.rows.copy(),
             "predictions_base": self.predictions.base,
             "updates_registered": self.updates_registered,
+            "updates_evicted": self.updates_evicted,
             "polls": self.polls,
             "records_scanned": self.records_scanned,
         }
@@ -382,17 +377,18 @@ class FlowDatabase:
         capture (configuration flags are not restored — construct with
         the same recipe)."""
         self.flows.state_restore(state["flows"])
-        self._dirty = {k: list(v) for k, v in state["dirty"]}
+        self.pending = Rows(PENDING_DTYPE, state["pending"])
         self.predictions = PredictionLog(
             state["predictions"], base=state["predictions_base"]
         )
         self.updates_registered = int(state["updates_registered"])
+        self.updates_evicted = int(state["updates_evicted"])
         self.polls = int(state["polls"])
         self.records_scanned = int(state["records_scanned"])
 
     @property
     def pending_updates(self) -> int:
-        return sum(len(v) for v in self._dirty.values())
+        return len(self.pending)
 
     def latencies_ns(self) -> np.ndarray:
         """All resident prediction latencies, in storage order."""

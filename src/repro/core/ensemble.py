@@ -11,79 +11,75 @@ Two layers, both reproduced exactly:
    "we wait for three predictions.  If two or more of the last three
    predictions are 1, then it is classified as an attack flow."  The
    window is per flow and slides, so every update after the third yields
-   a decision.
+   a decision.  It lives in two flow-table columns and is freed with the
+   flow's slot.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Optional
+from typing import Dict, List
+
+import numpy as np
 
 __all__ = ["SlidingDecision"]
 
 
 class SlidingDecision:
-    """Per-flow last-N majority decision window.
+    """The last-N majority rule over per-flow window columns: ``bits``
+    holds a flow's last aggregated labels, newest in bit 0, and ``fill``
+    how many (at most ``window``); an empty window is ``(0, 0)``.
 
     Parameters
     ----------
     window : int
-        Number of recent aggregated predictions considered (paper: 3).
+        Number of recent aggregated predictions considered (paper: 3;
+        at most 63, the labels one ``uint64`` holds).
     emit_partial : bool
         If True, emit a majority decision even before the window fills
         (used by the window-size ablation); the paper's mechanism waits.
     """
 
     def __init__(self, window: int = 3, emit_partial: bool = False) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1: {window}")
+        if not 1 <= window <= 63:
+            raise ValueError(f"window must be in 1..63: {window}")
         self.window = int(window)
         self.emit_partial = bool(emit_partial)
-        self._history: Dict[tuple, deque] = {}
         self.decisions_emitted = 0
         self.waiting = 0
 
-    def push(self, key: tuple, label: int) -> Optional[int]:
-        """Record one aggregated prediction; return the flow decision or
-        ``None`` while the window is still filling."""
-        hist = self._history.get(key)
-        if hist is None:
-            hist = deque(maxlen=self.window)
-            self._history[key] = hist
-        hist.append(int(label))
-        if len(hist) < self.window and not self.emit_partial:
-            self.waiting += 1
-            return None
-        self.decisions_emitted += 1
-        ones = sum(hist)
-        return 1 if 2 * ones >= len(hist) else 0
+    def push(
+        self, bits: np.ndarray, fill: np.ndarray, slots: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
+        """Push ``labels[i]`` onto the window of ``slots[i]`` in order (a
+        slot may repeat), updating ``bits`` / ``fill`` in place; returns
+        each push's decision, -1 while its window is still filling.
 
-    def forget(self, key: tuple) -> None:
-        """Drop a flow's history (eviction hook)."""
-        self._history.pop(key, None)
+        A block is at most one dispatch chunk, so the walk is in plain
+        ints (numpy's per-call cost would dominate): each touched window
+        is read once, advanced per push, and written back once.
+        """
+        w, mask = self.window, (1 << self.window) - 1
+        windows: Dict[int, List[int]] = {}
+        out = []
+        for s, label in zip(slots.tolist(), labels.tolist()):
+            window = windows.get(s)
+            if window is None:
+                window = windows[s] = [bits.item(s), fill.item(s)]
+            b = window[0] = ((window[0] << 1) | label) & mask
+            f = window[1] = min(window[1] + 1, w)
+            out.append(-1 if f < w and not self.emit_partial else 2 * b.bit_count() >= f)
+        for s, (b, f) in windows.items():
+            bits[s], fill[s] = b, f
+        waiting = out.count(-1)
+        self.waiting += waiting
+        self.decisions_emitted += len(out) - waiting
+        return np.array(out, np.int8)
 
-    # ------------------------------------------------------------------
-    # checkpoint/restore
-    # ------------------------------------------------------------------
+    # checkpoint/restore: the counters only (the windows ride the flow
+    # table's snapshot)
     def state_snapshot(self) -> dict:
-        """Window contents + counters as a plain picklable dict."""
-        return {
-            "history": [(k, list(h)) for k, h in self._history.items()],
-            "decisions_emitted": self.decisions_emitted,
-            "waiting": self.waiting,
-        }
+        return {"decisions_emitted": self.decisions_emitted, "waiting": self.waiting}
 
     def state_restore(self, state: dict) -> None:
-        """Rebuild the per-flow windows captured by
-        :meth:`state_snapshot` (deques get this instance's ``maxlen``,
-        so the restoring process must be configured with the same
-        window size)."""
-        self._history = {
-            k: deque(labels, maxlen=self.window)
-            for k, labels in state["history"]
-        }
         self.decisions_emitted = int(state["decisions_emitted"])
         self.waiting = int(state["waiting"])
-
-    def __len__(self) -> int:
-        return len(self._history)

@@ -72,7 +72,8 @@ class AutomatedDDoSDetector:
     wrap_aware : bool
         Timestamp wrap handling in the flow records (ablation hook).
     fast_poll : bool
-        Indexed database poll instead of the paper-faithful scan.
+        Skip the paper-faithful walk of every resident record in each
+        database poll (same polled block, no modelled scan cost).
     clock : callable() -> int, optional
         Wall-clock override for deterministic tests.
     chaos : ChaosSchedule, optional
@@ -407,10 +408,11 @@ class AutomatedDDoSDetector:
             "packets_processed": self.processor.packets_processed,
             "updates_registered": self.db.updates_registered,
             "pending_updates": self.db.pending_updates,
+            "updates_evicted": self.db.updates_evicted,
             "predictions_stored": self.db.predictions_total,
             "flows_created": self.db.flows.created,
             "flows_evicted": self.db.flows.evicted,
-            "decision_windows": len(self.processor.decision),
+            "decision_windows": int(np.count_nonzero(self.db.flows.window_fill)),
             "predictions_served": self.prediction.predictions_served,
             "quarantined_models": dict(self.prediction.quarantined),
             "active_models": self.prediction.active_model_names,

@@ -6,9 +6,11 @@ update with the database (step ③).  The feature rows the CentralServer
 sends to prediction are one row take of the table's
 :data:`~repro.features.flow_record.FEATURE_ORDER` rows plus the schema's
 column select.  On the return path it receives the per-model
-predictions from the CentralServer (step ⑦), aggregates them into one
-label, pushes the label through the per-flow sliding decision window,
-and stores the result with its prediction latency (step ⑧).
+predictions from the CentralServer (step ⑦) for a polled block of
+pending rows, aggregates them into one label per row, pushes the labels
+through the flows' sliding decision windows (flow-table columns, keyed
+by the rows' slots) and stores the result with its prediction latency
+(step ⑧).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.features.batch import FlowBatch
-from repro.features.flow_record import FEATURE_ORDER, FlowRecord
+from repro.features.flow_record import FEATURE_ORDER
 from repro.features.keys import key_hash_of_key
 from repro.sketch import SketchGate
 
@@ -95,7 +97,7 @@ class DataProcessor:
         queue_occupancy: float = 0.0,
         hop_latency_ns: float = 0.0,
         seq: Optional[int] = None,
-    ) -> Optional[FlowRecord]:
+    ) -> None:
         """Fold one packet into its flow record and register the update.
 
         ``seq`` is the packet's delivered-stream sequence number; when
@@ -104,9 +106,9 @@ class DataProcessor:
         workers pass the coordinator-assigned global value instead.
 
         With a sketch ``gate``, a packet whose flow is neither resident
-        nor promoted consumes its sequence number but creates no record
-        (returns ``None``); its volume lands in the gate's residual
-        stats.  Scalar gating treats each packet as its own admission
+        nor promoted consumes its sequence number but creates no record;
+        its volume lands in the gate's residual stats.  Scalar gating
+        treats each packet as its own admission
         slice — see DESIGN.md §15 for how that differs from batched
         slice-granular gating.
         """
@@ -119,17 +121,19 @@ class DataProcessor:
             )
             if not admitted:
                 self.packets_processed += 1
-                return None
+                return
         wall = self.clock()
         if seq is None:
             seq = self.packets_processed
-        rec = self.db.flows.update(
+        flows = self.db.flows
+        slot = flows.update(
             key, ts_sim_ns, ingress_ts32, length, protocol,
             queue_occupancy, hop_latency_ns,
         )
-        self.db.register_update(key, ts_sim_ns, wall, seq)
+        self.db.register_update_batch(
+            [slot], [flows.incarnation[slot]], [ts_sim_ns], [wall], [seq]
+        )
         self.packets_processed += 1
-        return rec
 
     def ingest_batch(
         self,
@@ -185,35 +189,34 @@ class DataProcessor:
         clock = self.clock
         wall = [clock() for _ in range(batch.n)]
         if batch.n:
-            self.db.flows.update_batch(batch, ts_sim, ts32, lens, protos, occ, hop)
-            self.db.register_update_batch(batch, ts_sim, wall, seqs)
+            slots, incs = self.db.flows.update_batch(
+                batch, ts_sim, ts32, lens, protos, occ, hop
+            )
+            self.db.register_update_batch(slots, incs, ts_sim, wall, seqs)
         self.packets_processed += n
         return n
 
-    def features_for(self, key: tuple) -> Optional[np.ndarray]:
-        """Current feature vector of a flow (None if evicted): the
-        one-key case of :meth:`features_matrix`."""
-        X, valid = self.features_matrix((key,))
+    def features_for(self, update: np.ndarray) -> Optional[np.ndarray]:
+        """The one-row case of :meth:`features_matrix` (None if dead)."""
+        X, valid = self.features_matrix(update)
         return X[0] if valid[0] else None
 
-    def features_matrix(self, keys: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
-        """Feature matrix for a polled batch of flow keys.
-
-        Returns ``(X, valid)`` where ``X`` has one row per key in
-        ``keys`` order and ``valid`` flags keys whose flow still exists
-        (evicted flows leave garbage rows, masked by ``valid``).  One row
-        take of the flow table's :data:`FEATURE_ORDER` rows, then the
-        schema's column select.
-        """
-        rows, valid = self.db.flows.feature_rows(keys)
-        return rows[:, self._feature_sel], valid
+    def features_matrix(self, updates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(X, valid)`` for a polled block of pending rows: one take of
+        the flow table's :data:`FEATURE_ORDER` rows by slot, then the
+        schema's column select; ``valid`` flags rows whose flow life is
+        still live (the other rows are garbage)."""
+        flows = self.db.flows
+        slots = updates["slot"]
+        X = flows.features_at(slots)[:, self._feature_sel]
+        return X, flows.incarnation[slots] == updates["incarnation"]
 
     # ------------------------------------------------------------------
     # checkpoint/restore
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """Processor-owned mutable state (the database snapshots its own
-        — including the shared flow table — separately)."""
+        """Processor-owned mutable state (the database snapshots its own,
+        including the shared flow table and its decision windows)."""
         return {
             "decision": self.decision.state_snapshot(),
             "packets_processed": self.packets_processed,
@@ -226,60 +229,39 @@ class DataProcessor:
     # ------------------------------------------------------------------
     # steps ⑦/⑧ — predictions back
     # ------------------------------------------------------------------
-    def receive_predictions(
-        self,
-        key: tuple,
-        ts_sim_ns: int,
-        wall_registered_ns: int,
-        votes: np.ndarray,
-        seq: int = -1,
-        epoch: int = 0,
-    ) -> None:
-        """Aggregate one update's model votes, apply the sliding window,
-        store the row (the scalar path: a one-row
-        :meth:`receive_predictions_batch`)."""
-        self.receive_predictions_batch(
-            [(key, ts_sim_ns, wall_registered_ns, seq)],
-            np.asarray(votes)[None, :],
-            epoch,
-        )
-
     def receive_predictions_batch(
-        self,
-        updates: Sequence[Tuple[tuple, int, int, int]],
-        votes: np.ndarray,
-        epoch: int = 0,
+        self, updates: np.ndarray, votes: np.ndarray, epoch: int = 0
     ) -> None:
-        """Aggregate, window and store one dispatched chunk as one
-        :data:`~repro.core.database.RESULT_DTYPE` block.
+        """Aggregate, window and store one dispatched chunk of pending
+        rows as one :data:`~repro.core.database.RESULT_DTYPE` block.
 
         ``votes`` is the ``(n_updates, n_active_models)`` 0/1 matrix
-        from :meth:`~repro.core.prediction.PredictionModule.predict_batch`;
-        labels and vote bitmasks are computed column-wise and every
-        column is written straight into the block.  The per-flow
-        sliding windows are pushed in update order and the wall clock is
-        read once per update, in update order, so decisions and (under
-        an injected clock) wall stamps match any chunking of the same
-        updates.  ``epoch`` is the serving panel generation, stamped so
-        hot-swap atomicity is auditable.
+        from :meth:`~repro.core.prediction.PredictionModule.predict_batch`.
+        Labels and vote masks are computed column-wise, keys are a take
+        of the flow table's key column, stamps come off the rows;
+        windows are pushed and the wall clock read in row order, so
+        decisions and (under an injected clock) wall stamps match any
+        chunking of the same rows.  ``epoch`` is the serving panel
+        generation, stamped so hot-swap atomicity is auditable.
         """
         votes = np.asarray(votes)
         n_models = votes.shape[1]
         labels = majority_vote(votes)
-        push = self.decision.push
-        finals = [push(u[0], label) for u, label in zip(updates, labels.tolist())]
+        flows = self.db.flows
+        slots = updates["slot"]
+        finals = self.decision.push(flows.window_bits, flows.window_fill, slots, labels)
         clock = self.clock
-        block = np.empty(len(updates), dtype=RESULT_DTYPE)
-        block["wall_predicted_ns"] = [clock() for _ in range(len(updates))]
-        keys, ts_sim, wall_reg, seqs = zip(*updates)
-        for field, column in zip(KEY_FIELDS, zip(*keys)):
-            block[field] = column
-        block["ts_registered_ns"] = ts_sim
-        block["wall_registered_ns"] = wall_reg
+        n = updates.shape[0]
+        block = np.empty(n, dtype=RESULT_DTYPE)
+        block["wall_predicted_ns"] = [clock() for _ in range(n)]
+        keys = flows.key_col[slots]
+        for i, field in enumerate(KEY_FIELDS):
+            block[field] = keys[:, i]
+        for field in ("ts_registered_ns", "wall_registered_ns", "seq"):
+            block[field] = updates[field]
         block["label"] = labels
         block["votes_mask"] = (votes & 1) @ (1 << np.arange(n_models))
         block["votes_n"] = n_models
-        block["final"] = [-1 if final is None else final for final in finals]
-        block["seq"] = seqs
+        block["final"] = finals
         block["epoch"] = epoch
         self.db.store_predictions(block)

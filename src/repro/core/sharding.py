@@ -5,7 +5,7 @@ The single-process detector tops out at one core; AmLight-scale rates
 without touching the per-flow math: telemetry is partitioned by the
 *canonical five-tuple* hash (:func:`~repro.features.keys.shard_arrays`),
 so every flow's entire packet sequence — and therefore all of its state:
-Welford moments, dirty stamps, sliding decision window — lives on exactly
+Welford moments, pending updates, sliding decision window — lives on exactly
 one worker.  Each worker runs a full, ordinary
 :class:`~repro.core.mechanism.AutomatedDDoSDetector` over its shard of
 the stream; flow-state disjointness is what makes the merged output

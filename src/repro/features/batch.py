@@ -39,9 +39,6 @@ class FlowBatch:
         One canonical five-tuple per group, equal (as Python tuples) to
         what :func:`~repro.features.keys.canonical_flow_key` returns for
         any packet of the group.
-    first_pos, last_pos : ndarray
-        Original index of each group's first/last record — the handles
-        used to replay the scalar path's dict-insertion and LRU orders.
     key_hash : ndarray (uint64)
         Per-group splitmix64 flow-identity hash
         (:func:`~repro.features.keys.key_hash_packed`) — the value
@@ -58,8 +55,6 @@ class FlowBatch:
         "starts",
         "counts",
         "keys",
-        "first_pos",
-        "last_pos",
         "key_hash",
         "group_ip_a",
     )
@@ -71,8 +66,6 @@ class FlowBatch:
         starts: np.ndarray,
         counts: np.ndarray,
         keys: List[tuple],
-        first_pos: np.ndarray,
-        last_pos: np.ndarray,
         key_hash: np.ndarray,
         group_ip_a: np.ndarray,
     ) -> None:
@@ -81,8 +74,6 @@ class FlowBatch:
         self.starts = starts
         self.counts = counts
         self.keys = keys
-        self.first_pos = first_pos
-        self.last_pos = last_pos
         self.key_hash = key_hash
         self.group_ip_a = group_ip_a
 
@@ -90,18 +81,13 @@ class FlowBatch:
     def n_groups(self) -> int:
         return len(self.keys)
 
-    def group_rows(self, g: int) -> np.ndarray:
-        """Original record indices of group ``g``, in arrival order."""
-        s = self.starts[g]
-        return self.order[s : s + self.counts[g]]
-
     def subset(self, keep: np.ndarray) -> Tuple["FlowBatch", np.ndarray]:
         """Compress the batch down to the groups flagged by ``keep``.
 
         Returns ``(sub_batch, rec_mask)`` where ``rec_mask`` flags the
         *original record indices* belonging to kept groups.  The
-        sub-batch's ``order``/``starts``/``first_pos``/``last_pos``
-        index into the **compressed** record space (original arrays
+        sub-batch's ``order``/``starts`` index into the **compressed**
+        record space (original arrays
         sliced by ``rec_mask``), so it composes with
         ``FlowTable.update_batch`` and update registration exactly like
         a batch that never contained the dropped records — kept groups
@@ -128,8 +114,6 @@ class FlowBatch:
             starts_new,
             counts_new,
             keys_new,
-            new_of_orig[self.first_pos[keep]],
-            new_of_orig[self.last_pos[keep]],
             self.key_hash[keep],
             self.group_ip_a[keep],
         )
@@ -153,8 +137,6 @@ def group_by_flow(ip_a, ip_b, port_a, port_b, proto) -> FlowBatch:
             np.empty(0, np.int64),
             np.empty(0, np.int64),
             [],
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
             np.empty(0, np.uint64),
             np.empty(0, np.int64),
         )
@@ -172,10 +154,8 @@ def group_by_flow(ip_a, ip_b, port_a, port_b, proto) -> FlowBatch:
     starts = np.concatenate(([0], boundary)).astype(np.int64)
     ends = np.concatenate((boundary, [n])).astype(np.int64)
     counts = ends - starts
-    first_pos = order[starts]
-    last_pos = order[ends - 1]
 
-    reps = first_pos  # one representative record per group
+    reps = order[starts]  # one representative record per group
     ka, kb = ip_a[reps].tolist(), ip_b[reps].tolist()
     pa, pb = port_a[reps].tolist(), port_b[reps].tolist()
     pr = proto[reps].tolist()
@@ -183,5 +163,5 @@ def group_by_flow(ip_a, ip_b, port_a, port_b, proto) -> FlowBatch:
     key_hash = key_hash_packed(k1s[starts], k2s[starts])
     group_ip_a = (k1s[starts] >> np.uint64(32)).astype(np.int64)
     return FlowBatch(
-        n, order, starts, counts, keys, first_pos, last_pos, key_hash, group_ip_a
+        n, order, starts, counts, keys, key_hash, group_ip_a
     )

@@ -4,7 +4,8 @@ Keeps exactly one record per five-tuple (the paper's deliberate storage
 optimization: "we only keep one record for each flow at a given time"),
 struct-of-arrays in the style of AMON's fixed-size databricks: one numpy
 column per :data:`~repro.features.flow_record.STATE_FIELDS` field, plus
-the :data:`~repro.features.flow_record.FEATURE_ORDER` row of every slot.
+the :data:`~repro.features.flow_record.FEATURE_ORDER` row, the key, the
+decision window (§IV-C4) and an incarnation stamp of every slot.
 :class:`~repro.features.flow_record.FlowRecord` is only a decoded view and
 the per-packet arithmetic of the scalar :meth:`FlowTable.update`.  LRU
 eviction under ``max_flows`` and idle-flow expiry keep a SYN flood, where
@@ -72,7 +73,10 @@ class FlowTable:
 
     A key → slot ``OrderedDict`` indexes the preallocated columns and
     carries the LRU order; a free-slot list backs it, and capacity
-    doubles when it runs out.
+    doubles when it runs out.  Every slot also holds its key
+    (``key_col``), its decision window (``window_bits``/``window_fill``)
+    and an ``incarnation`` bumped on allocation and release: a ``(slot,
+    incarnation)`` handle names one flow life, live while the two match.
 
     Parameters
     ----------
@@ -104,8 +108,9 @@ class FlowTable:
         self.expired = 0
 
     # ------------------------------------------------------------------
-    # slots.  A free slot always holds a zero state row — a flow's state
-    # before its first packet — so a new flow starts from its slot as is.
+    # slots.  A free slot always holds a zero state row and an empty
+    # window — a flow's state before its first packet — so a new flow
+    # starts from its slot as is.
     # ------------------------------------------------------------------
     def _reset(self, capacity: int) -> None:
         """An empty table of ``capacity`` zeroed slots."""
@@ -114,6 +119,10 @@ class FlowTable:
             name: np.zeros(capacity, dtype) for name, dtype in STATE_FIELDS
         }
         self._feat = np.zeros((capacity, len(FEATURE_ORDER)))
+        self.key_col = np.zeros((capacity, 5), np.int64)
+        self.window_bits = np.zeros(capacity, np.uint64)
+        self.window_fill = np.zeros(capacity, np.uint8)
+        self.incarnation = np.zeros(capacity, np.int64)
         self._free: List[int] = list(range(capacity - 1, -1, -1))
 
     def _reserve(self, need: int) -> None:
@@ -122,15 +131,22 @@ class FlowTable:
             return
         cap = self._feat.shape[0]
         extra = max(cap, need - len(self._free))
+
+        def grow(col: np.ndarray) -> np.ndarray:
+            return np.concatenate((col, np.zeros((extra,) + col.shape[1:], col.dtype)))
+
         for name, col in self._cols.items():
-            self._cols[name] = np.concatenate((col, np.zeros(extra, col.dtype)))
-        self._feat = np.vstack((self._feat, np.zeros((extra, len(FEATURE_ORDER)))))
+            self._cols[name] = grow(col)
+        for name in ("_feat", "key_col", "window_bits", "window_fill", "incarnation"):
+            setattr(self, name, grow(getattr(self, name)))
         self._free[:0] = range(cap + extra - 1, cap - 1, -1)
 
     def _release(self, slots: List[int]) -> None:
-        """Zero the state rows of ``slots`` and free them."""
-        for col in self._cols.values():
+        """Zero ``slots``' rows and windows, end their lives, free them."""
+        for col in (*self._cols.values(), self.key_col, self.window_bits,
+                    self.window_fill):
             col[slots] = 0
+        self.incarnation[slots] += 1
         self._free.extend(slots)
 
     # ------------------------------------------------------------------
@@ -172,6 +188,10 @@ class FlowTable:
         slots = np.fromiter((get(k, -1) for k in keys), np.int64, len(keys))
         return self._feat[slots], slots >= 0
 
+    def features_at(self, slots: np.ndarray) -> np.ndarray:
+        """The :data:`FEATURE_ORDER` rows of ``slots``, one row take."""
+        return self._feat[slots]
+
     def feature_row(self, key: tuple) -> Optional[np.ndarray]:
         """One flow's :data:`FEATURE_ORDER` row — a view into the table,
         current until the next update — or ``None`` if the flow is not
@@ -195,15 +215,17 @@ class FlowTable:
         protocol: int,
         queue_occupancy: float = 0.0,
         hop_latency_ns: float = 0.0,
-    ) -> FlowRecord:
+    ) -> int:
         """Route one packet into its flow's row (creating the flow if
-        this is a brand-new Flow ID) and return the row, decoded: one row
+        this is a brand-new Flow ID) and return the row's slot: one row
         read, :meth:`FlowRecord.update`, one row write."""
         slot_of = self._slot
         slot = slot_of.get(key)
         if slot is None:
             self._reserve(1)
             slot = slot_of[key] = self._free.pop()
+            self.key_col[slot] = key
+            self.incarnation[slot] += 1
             self.created += 1
             if self.max_flows is not None and len(slot_of) > self.max_flows:
                 self._release([slot_of.popitem(last=False)[1]])
@@ -215,7 +237,7 @@ class FlowTable:
         for col, value in zip(self._cols.values(), rec.row()):
             col[slot] = value
         self._feat[slot] = rec.feature_row()
-        return rec
+        return slot
 
     def update_batch(
         self,
@@ -226,11 +248,12 @@ class FlowTable:
         protocol: np.ndarray,
         queue_occupancy: Optional[np.ndarray] = None,
         hop_latency_ns: Optional[np.ndarray] = None,
-    ) -> int:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold a grouped slice of packets (columns in original record
-        order) into the table; returns the number of flows created.
-        Rows, features, LRU order and counters are bit-identical to
-        :meth:`update` once per record in order.
+        order) into the table; returns every record's ``(slot,
+        incarnation)`` handle, in record order.  Rows, features, LRU
+        order and counters are bit-identical to :meth:`update` once per
+        record in order.
 
         Each record first gets a slot from :meth:`_walk`.  Then one fold
         takes each state column once, advances every incarnation with a
@@ -239,13 +262,15 @@ class FlowTable:
         each column back once with the touched feature rows refreshed.
         """
         if batch.n == 0:
-            return 0
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         if queue_occupancy is None:
             queue_occupancy = np.zeros(batch.n)
         if hop_latency_ns is None:
             hop_latency_ns = np.zeros(batch.n)
-        created = self.created
-        starts, counts, slots, victims = self._walk(batch)
+        rec_slots, starts, counts, slots, victims = self._walk(batch)
+        # Read before the victims are released: a record of a flow
+        # evicted inside the slice holds a handle that is already dead.
+        rec_inc = self.incarnation[rec_slots]
 
         # -- permute columns to (incarnation, arrival) order -----------
         o = batch.order
@@ -328,45 +353,53 @@ class FlowTable:
         self._feat[slots_d] = _feature_block(c)
         if victims:
             self._release(victims)
-        return self.created - created
+        return rec_slots, rec_inc
 
     def _walk(
         self, batch: FlowBatch
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int]]:
         """The scalar path's insert / move-to-end / evict on the key
         index, record by record: decides which flows are resident, which
         are new or re-created, the victims and the final LRU order.  A
         flow evicted and re-created inside the slice has two lives
-        (*incarnations*) with a slot each.  Returns the incarnations as
-        ``(starts, counts, slots)`` over ``batch.order``, and the
-        victims' slots, which are reused only after the slice."""
+        (*incarnations*) with a slot each.  Returns every record's slot,
+        the incarnations as ``(starts, counts, slots)`` over
+        ``batch.order``, and the victims' slots (reused after the slice)."""
         gid = np.empty(batch.n, np.int64)
         gid[batch.order] = np.repeat(np.arange(batch.n_groups), batch.counts)
         self._reserve(batch.n)
         slot_of, free, keys = self._slot, self._free, batch.keys
         cap = self.max_flows
         rec_slots: List[int] = []
+        born: List[int] = []
+        born_keys: List[tuple] = []
         victims: List[int] = []
         for g in gid.tolist():
             slot = slot_of.get(keys[g])
             if slot is None:
                 slot = slot_of[keys[g]] = free.pop()
-                self.created += 1
+                born.append(slot)
+                born_keys.append(keys[g])
                 if cap is not None and len(slot_of) > cap:
                     victims.append(slot_of.popitem(last=False)[1])
             else:
                 slot_of.move_to_end(keys[g])
             rec_slots.append(slot)
+        if born:
+            self.key_col[born] = born_keys
+            self.incarnation[born] += 1
+        self.created += len(born)
         self.evicted += len(victims)
         # ``batch.order`` sorts records by key, then arrival, and a key's
         # incarnations follow one another: an incarnation starts
         # wherever the slot changes along it.
-        sorted_slots = np.asarray(rec_slots, dtype=np.int64)[batch.order]
+        slots = np.asarray(rec_slots, dtype=np.int64)
+        sorted_slots = slots[batch.order]
         starts = np.flatnonzero(
             np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1]))
         )
         counts = np.diff(np.append(starts, batch.n))
-        return starts, counts, sorted_slots[starts], victims
+        return slots, starts, counts, sorted_slots[starts], victims
 
     def expire_idle(self, now_ns: int) -> int:
         """Evict flows idle longer than ``idle_timeout_ns``; returns count.
@@ -393,20 +426,38 @@ class FlowTable:
     # ------------------------------------------------------------------
     # checkpoint/restore
     # ------------------------------------------------------------------
+    def _lru_slots(self) -> np.ndarray:
+        return np.fromiter(self._slot.values(), np.int64, len(self._slot))
+
     def state_snapshot(self) -> dict:
         """Table state as ndarrays and ints: the keys as an ``(n, 5)``
-        int64 array, one array per state column, and the counters.
+        int64 array, one array per state column, the window columns and
+        the counters.
 
-        Rows are captured **in LRU order** — restore rebuilds the same
-        order, so ``max_flows`` evictions and :meth:`expire_idle` sweeps
-        after a restore hit exactly the flows they would have hit
-        without the checkpoint round-trip.
+        Rows are captured **in LRU order** and restored into slots
+        ``0..n-1`` — the same order, so ``max_flows`` evictions and
+        :meth:`expire_idle` sweeps after a restore hit exactly the flows
+        they would have hit without the checkpoint round-trip (handle
+        holders translate with :meth:`restored_handles`).
         """
-        slots = np.fromiter(self._slot.values(), np.int64, len(self._slot))
+        slots = self._lru_slots()
         state: dict = {name: col[slots] for name, col in self._cols.items()}
-        state["keys"] = np.array(list(self._slot), dtype=np.int64).reshape(-1, 5)
+        state["keys"] = self.key_col[slots]
+        state["window_bits"] = self.window_bits[slots]
+        state["window_fill"] = self.window_fill[slots]
         state.update(created=self.created, evicted=self.evicted, expired=self.expired)
         return state
+
+    def restored_handles(
+        self, slots: np.ndarray, incarnations: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Handles after a snapshot/restore round trip: a live one moves
+        to its flow's LRU rank at incarnation 1, a dead one to ``(0, -1)``,
+        which no slot ever carries."""
+        rank = np.zeros(self.incarnation.shape[0], np.int64)
+        rank[self._lru_slots()] = np.arange(len(self._slot))
+        live = self.incarnation[slots] == incarnations
+        return np.where(live, rank[slots], 0), np.where(live, 1, -1)
 
     def state_restore(self, state: dict) -> None:
         """Replace table contents with a :meth:`state_snapshot` capture.
@@ -424,6 +475,10 @@ class FlowTable:
         for name, col in self._cols.items():
             col[:n] = state[name]
         self._feat[:n] = _feature_block({k: col[:n] for k, col in self._cols.items()})
+        self.key_col[:n] = state["keys"]
+        self.window_bits[:n] = state["window_bits"]
+        self.window_fill[:n] = state["window_fill"]
+        self.incarnation[:n] = 1
         self.created = int(state["created"])
         self.evicted = int(state["evicted"])
         self.expired = int(state["expired"])

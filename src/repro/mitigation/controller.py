@@ -634,8 +634,9 @@ class MitigationController:
         self._last_ts_ns = 0
         # Derived caches (pure functions of durable state; never
         # checkpointed, cleared when the inputs change):
-        # flow key -> the three block-table targets its packets match.
-        self._targets_memo: Dict[tuple, List[Tuple[Any, ...]]] = {}
+        # flow key -> the three block-table targets its packets match, as
+        # a tuple of int tuples (the collector untracks those).
+        self._targets_memo: Dict[tuple, Tuple[Tuple[Any, ...], ...]] = {}
         # flow key -> consolidated no-op horizon, present only once
         # EVERY compiled rule has emitted for the flow: None = all
         # permanent (skip forever), int = earliest re-emit deadline
@@ -696,17 +697,15 @@ class MitigationController:
             return (int(ip_a), int(port_a), int(proto))
         return (int(ip_b), int(port_b), int(proto))
 
-    def _enforcement_targets(
-        self, key: tuple
-    ) -> List[Tuple[Any, ...]]:
+    def _enforcement_targets(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
         """Every block-table target this flow's packets would match."""
-        return [
+        return (
             ("flow",) + tuple(int(v) for v in key),
             ("source", self._attacker_of(key)),
             ("service",) + self._service_of(key),
-        ]
+        )
 
-    def _targets_for(self, key: tuple) -> List[Tuple[Any, ...]]:
+    def _targets_for(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
         t = self._targets_memo.get(key)
         if t is None:
             if len(self._targets_memo) > 65536:

@@ -4,7 +4,7 @@ The recovery invariant — a respawned worker's merged output is
 byte-identical to the unfaulted run — holds only if every piece of
 checkpointed state restores *bit-identical*: Welford accumulators down
 to the last ulp, LRU order down to the last move-to-end, sliding
-decision windows down to the deque order.  These are property tests for
+decision windows down to the last label bit.  These are property tests for
 exactly that, including under ``max_flows`` eviction pressure, plus the
 blob-integrity gate (a truncated or tampered checkpoint must fail
 loudly, never restore garbage).
@@ -130,29 +130,52 @@ def test_flow_table_continue_after_restore_is_equivalent(seq):
 
 
 # ---------------------------------------------------------------------------
-# SlidingDecision: smoothing-window state
+# SlidingDecision: smoothing-window columns
 # ---------------------------------------------------------------------------
 labels = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=0, max_size=80
 )
 
 
+def _push(table, dec, pushes):
+    """Push ``(flow, label)`` pairs as one block onto the table's window
+    columns, creating flows as needed; returns the decisions."""
+    for k, _ in pushes:
+        if _key(k) not in table:
+            table.update(_key(k), 0, 0, 64.0, 6)
+    slots = np.array([table._slot[_key(k)] for k, _ in pushes], np.int64)
+    labels = np.array([lbl for _, lbl in pushes], np.int64)
+    return dec.push(table.window_bits, table.window_fill, slots, labels).tolist()
+
+
+def _windows(table, dec):
+    slots = table._lru_slots()
+    return (
+        table.window_bits[slots].tolist(), table.window_fill[slots].tolist(),
+        dec.state_snapshot(),
+    )
+
+
 @given(pushes=labels, window=st.integers(1, 5), partial=st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_sliding_decision_roundtrip_and_continuation(pushes, window, partial):
-    dec = SlidingDecision(window=window, emit_partial=partial)
-    for k, lbl in pushes:
-        dec.push(_key(k), lbl)
-    blob = pack_state(dec.state_snapshot())
-    fresh = SlidingDecision(window=window, emit_partial=partial)
-    fresh.state_restore(unpack_state(blob))
-    assert fresh.state_snapshot() == dec.state_snapshot()
+    """The windows ride the flow-table snapshot, the counters the
+    decision's; both restore so that further pushes decide the same."""
+    table, dec = FlowTable(), SlidingDecision(window=window, emit_partial=partial)
+    _push(table, dec, pushes)
+    blob = pack_state({"flows": table.state_snapshot(), "decision": dec.state_snapshot()})
+    fresh = FlowTable()
+    fresh_dec = SlidingDecision(window=window, emit_partial=partial)
+    state = unpack_state(blob)
+    fresh.state_restore(state["flows"])
+    fresh_dec.state_restore(state["decision"])
+    assert _windows(fresh, fresh_dec) == _windows(table, dec)
     # continuation: identical further pushes yield identical decisions
     tail = [(k % 6, (k + 1) % 2) for k in range(12)]
-    out_a = [dec.push(_key(k), lbl) for k, lbl in tail]
-    out_b = [fresh.push(_key(k), lbl) for k, lbl in tail]
+    out_a = [_push(table, dec, [p]) for p in tail]
+    out_b = [_push(fresh, fresh_dec, [p]) for p in tail]
     assert out_a == out_b
-    assert fresh.state_snapshot() == dec.state_snapshot()
+    assert _windows(fresh, fresh_dec) == _windows(table, dec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Tests for the flow database: polling semantics and the prediction log.
 
-The log is one :data:`RESULT_DTYPE` array; a hypothesis property drives
-it with random stores, trims, checkpoint round trips and extends against
-a plain ``List[PredictionEntry]`` reference, and a structural guard
-keeps it the only representation under ``src/repro``.
+The pending queue and the log are each one structured array; hypothesis
+properties drive them against plain-list reference models (the queue
+through slices, polls, ``skip_new_flows``, ``max_flows`` eviction and
+checkpoint round trips; the log through random stores, trims, checkpoint
+round trips and extends), and structural guards keep them the only
+representations under ``src/repro``.
 """
 
 import hashlib
 import re
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.core.database import (
     PredictionLog,
 )
 from repro.core.sharding import prediction_log_digest, unpack_predictions
+from repro.features.batch import group_by_flow
 from repro.features.flow_table import FlowTable
 
 from .test_cycle_engine import call_sites
@@ -36,8 +40,14 @@ KEY_B = (9, 2, 3, 4, 6)
 def feed(db, key, n, t0=0):
     """Push n packets of a flow into the table + update log."""
     for i in range(n):
-        db.flows.update(key, t0 + i, t0 + i, 100, 6)
-        db.register_update(key, t0 + i, 1000 + i)
+        slot = db.flows.update(key, t0 + i, t0 + i, 100, 6)
+        db.register_update_batch(
+            [slot], [db.flows.incarnation[slot]], [t0 + i], [1000 + i]
+        )
+
+
+def keys_of(db, block):
+    return [tuple(k) for k in db.flows.key_col[block["slot"]].tolist()]
 
 
 class TestPolling:
@@ -46,7 +56,7 @@ class TestPolling:
         feed(db, KEY_A, 3)
         first = db.poll_updates()
         assert len(first) == 3
-        assert db.poll_updates() == []
+        assert len(db.poll_updates()) == 0
 
     def test_default_predicts_new_flows(self):
         """One-packet flows must be predictable (Table VI consistency)."""
@@ -57,7 +67,7 @@ class TestPolling:
     def test_skip_new_flows_withholds_single_packet(self):
         db = FlowDatabase(skip_new_flows=True)
         feed(db, KEY_A, 1)
-        assert db.poll_updates() == []
+        assert len(db.poll_updates()) == 0
         assert db.pending_updates == 1
         # second packet releases the queued updates
         feed(db, KEY_A, 1, t0=10)
@@ -75,7 +85,7 @@ class TestPolling:
         db = FlowDatabase()
         feed(db, KEY_A, 3)
         out = db.poll_updates()
-        stamps = [ts for _, ts, _, _ in out]
+        stamps = out["ts_registered_ns"].tolist()
         assert stamps == sorted(stamps)
 
     def test_evicted_flow_updates_dropped(self):
@@ -84,7 +94,10 @@ class TestPolling:
         feed(db, KEY_A, 1)
         feed(db, KEY_B, 1)  # evicts KEY_A
         out = db.poll_updates()
-        assert [k for k, _, _, _ in out] == [KEY_B]
+        assert keys_of(db, out) == [KEY_B]
+        # the evicted flow's update is dropped loudly
+        assert db.updates_evicted == 1
+        assert db.pending_updates == 0
 
     def test_fast_poll_equivalent_results(self):
         slow = FlowDatabase(fast_poll=False)
@@ -92,7 +105,7 @@ class TestPolling:
         for db in (slow, fast):
             feed(db, KEY_A, 2)
             feed(db, KEY_B, 3)
-        assert sorted(slow.poll_updates()) == sorted(fast.poll_updates())
+        assert slow.poll_updates().tobytes() == fast.poll_updates().tobytes()
 
     def test_scan_cost_tracks_table_size(self):
         """The paper-faithful poll walks all resident records."""
@@ -110,6 +123,115 @@ class TestPolling:
             feed(db, (i, 2, 3, 4, 6), 1)
         db.poll_updates()
         assert db.records_scanned == 0
+
+
+# ---------------------------------------------------------------------------
+# the pending queue against a plain-list reference model
+# ---------------------------------------------------------------------------
+def flow(i):
+    return (i, 1, 2, 3, 6)
+
+
+class QueueModel:
+    """Reference: an LRU dict of flow lives and a list of pending
+    ``(key, life, ts, wall, seq)`` entries in registration order."""
+
+    def __init__(self, max_flows, skip_new_flows):
+        self.max_flows, self.skip = max_flows, skip_new_flows
+        self.life = OrderedDict()  # key -> [life id, packets]
+        self.lives = 0
+        self.queue = []
+        self.evicted = 0
+
+    def record(self, key, ts):
+        if key in self.life:
+            self.life.move_to_end(key)
+        else:
+            self.lives += 1
+            self.life[key] = [self.lives, 0]
+            if self.max_flows is not None and len(self.life) > self.max_flows:
+                self.life.popitem(last=False)
+        self.life[key][1] += 1
+        self.queue.append((key, self.life[key][0], ts, 1000 + ts, ts))
+
+    def poll(self, limit):
+        live = [u for u in self.queue if self.life.get(u[0], [0])[0] == u[1]]
+        self.evicted += len(self.queue) - len(live)
+        ready = [
+            i for i, u in enumerate(live)
+            if not self.skip or self.life[u[0]][1] > 1
+        ]
+        take = set(ready[:limit])
+        self.queue = [u for i, u in enumerate(live) if i not in take]
+        return [
+            (u[0], u[2], u[3], u[4]) for i, u in enumerate(live) if i in take
+        ]
+
+
+slices = st.lists(st.integers(0, 5), min_size=1, max_size=12)
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("slice"), slices),
+        st.tuples(st.just("poll"), st.one_of(st.none(), st.integers(0, 6))),
+        st.tuples(st.just("checkpoint"), st.none()),
+    ),
+    max_size=14,
+)
+
+
+@given(
+    ops=queue_ops,
+    max_flows=st.one_of(st.none(), st.integers(1, 4)),
+    skip_new_flows=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_pending_queue_behaves_like_a_list(ops, max_flows, skip_new_flows):
+    def fresh_db():
+        return FlowDatabase(
+            FlowTable(max_flows=max_flows), skip_new_flows=skip_new_flows
+        )
+
+    db, ref, ts = fresh_db(), QueueModel(max_flows, skip_new_flows), 0
+    for op, arg in ops:
+        if op == "slice":
+            n = len(arg)
+            ip = np.asarray(arg, np.int64)
+            batch = group_by_flow(ip, ip * 0 + 1, ip * 0 + 2, ip * 0 + 3, ip * 0 + 6)
+            stamps = np.arange(ts, ts + n, dtype=np.int64)
+            slots, incs = db.flows.update_batch(
+                batch, stamps, stamps, np.full(n, 64.0), np.full(n, 6)
+            )
+            db.register_update_batch(slots, incs, stamps, stamps + 1000, stamps)
+            for i in arg:
+                ref.record(flow(i), ts)
+                ts += 1
+        elif op == "poll":
+            block = db.poll_updates(limit=arg)
+            got = list(zip(
+                keys_of(db, block), *(block[f].tolist() for f in (
+                    "ts_registered_ns", "wall_registered_ns", "seq"))
+            ))
+            assert got == ref.poll(arg)
+        else:
+            restored = fresh_db()
+            restored.state_restore(unpack_state(pack_state(
+                {"db": db.state_snapshot()}
+            ))["db"])
+            db = restored
+        assert db.pending_updates == len(ref.queue)
+        assert db.updates_evicted == ref.evicted
+        assert list(db.flows.keys()) == list(ref.life)
+
+
+def test_scan_and_fast_poll_hand_out_the_same_block():
+    """``fast_poll`` changes only the modelled cost, not the block."""
+    blocks = []
+    for fast in (False, True):
+        db = FlowDatabase(FlowTable(max_flows=3), fast_poll=fast)
+        for i in (0, 1, 0, 2, 3, 1, 4, 1):
+            feed(db, flow(i), 1, t0=10 * i)
+        blocks.append(db.poll_updates(limit=3).tobytes() + db.poll_updates().tobytes())
+    assert blocks[0] == blocks[1]
 
 
 def rows_of(entries):
@@ -277,3 +399,20 @@ def test_canonical_order_is_written_once():
         if re.search(pattern, path.read_text())
     ]
     assert hits == []
+
+
+def test_pending_updates_are_rows_not_objects():
+    """The dirty map, stamp tuples and per-flow deques are gone from
+    ``src/repro/core``; the processor never unzips update tuples."""
+    # spelled in halves so this file passes its own check
+    gone = ["_di" + "rty", "de" + "que", "_hist" + "ory", r"\.for" + r"get\("]
+    hits = [
+        (path.name, pattern)
+        for path in sorted((ROOT / "src" / "repro" / "core").rglob("*.py"))
+        for pattern in gone
+        if re.search(pattern, path.read_text())
+    ]
+    assert hits == []
+    source = (ROOT / "src" / "repro" / "core" / "processor.py").read_text()
+    receive = source[source.index("def receive_predictions_batch"):]
+    assert "zip(*" not in receive

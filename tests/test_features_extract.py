@@ -155,8 +155,8 @@ def test_vectorized_equals_streaming(n_flows, n_packets, seed):
     for i, r in enumerate(rec):
         key = (int(r["src_ip"]), int(r["dst_ip"]), int(r["src_port"]),
                int(r["dst_port"]), int(r["protocol"]))
-        frec = ft.update(key, int(r["ts_report"]), int(r["ingress_ts"]),
-                         float(r["length"]), int(r["protocol"]),
-                         float(r["queue_occupancy"]), float(r["hop_latency"]))
-        v = np.asarray(frec.feature_row())[[FEATURE_ORDER.index(n) for n in names]]
+        ft.update(key, int(r["ts_report"]), int(r["ingress_ts"]),
+                  float(r["length"]), int(r["protocol"]),
+                  float(r["queue_occupancy"]), float(r["hop_latency"]))
+        v = np.asarray(ft.get(key).feature_row())[[FEATURE_ORDER.index(n) for n in names]]
         np.testing.assert_allclose(v, fm.X[i], rtol=1e-6, atol=1e-7)

@@ -9,6 +9,7 @@ from repro.features import FEATURE_ORDER, FlowRecord, FlowTable, feature_names
 from repro.int_telemetry import WRAP_PERIOD_NS
 
 KEY = (1, 2, 3, 4, 6)
+A, B, C = ((i, 2, 3, 4, 6) for i in (11, 12, 13))
 
 
 class TestFlowRecord:
@@ -85,12 +86,13 @@ class TestFlowRecord:
 class TestFlowTable:
     def test_creates_and_reuses(self):
         ft = FlowTable()
-        r1 = ft.update(KEY, 0, 0, 100, 6)
-        r2 = ft.update(KEY, 10, 1000, 200, 6)
-        # update returns a decoded copy of the flow's row: the second
-        # packet lands in the same row, not in a new flow
-        assert (r1.n_packets, r2.n_packets) == (1, 2)
-        assert ft.get(KEY).row() == r2.row()
+        s1 = ft.update(KEY, 0, 0, 100, 6)
+        n1 = ft.get(KEY).n_packets
+        s2 = ft.update(KEY, 10, 1000, 200, 6)
+        # update returns the flow's slot: the second packet lands in the
+        # same row, not in a new flow
+        assert s1 == s2
+        assert (n1, ft.get(KEY).n_packets) == (1, 2)
         assert len(ft) == 1
         assert ft.created == 1
 
@@ -113,12 +115,12 @@ class TestFlowTable:
 
     def test_update_refreshes_lru_position(self):
         ft = FlowTable(max_flows=2)
-        ft.update(("a",), 0, 0, 1, 6)
-        ft.update(("b",), 1, 0, 1, 6)
-        ft.update(("a",), 2, 0, 1, 6)  # refresh "a"
-        ft.update(("c",), 3, 0, 1, 6)  # evicts "b", not "a"
-        assert ("a",) in ft
-        assert ("b",) not in ft
+        ft.update(A, 0, 0, 1, 6)
+        ft.update(B, 1, 0, 1, 6)
+        ft.update(A, 2, 0, 1, 6)  # refresh A
+        ft.update(C, 3, 0, 1, 6)  # evicts B, not A
+        assert A in ft
+        assert B not in ft
 
     def test_get_does_not_refresh_lru_position(self):
         """Reads are LRU-neutral: only updates change eviction order.
@@ -128,25 +130,25 @@ class TestFlowTable:
         reshuffle which flows a ``max_flows`` cap evicts.
         """
         ft = FlowTable(max_flows=2)
-        ft.update(("a",), 0, 0, 1, 6)
-        ft.update(("b",), 1, 0, 1, 6)
-        assert ft.get(("a",)) is not None  # read must NOT move "a" back
-        assert ("a",) in ft  # __contains__ is read-only too
-        ft.update(("c",), 2, 0, 1, 6)  # evicts "a": still the LRU flow
-        assert ("a",) not in ft
-        assert ("b",) in ft and ("c",) in ft
+        ft.update(A, 0, 0, 1, 6)
+        ft.update(B, 1, 0, 1, 6)
+        assert ft.get(A) is not None  # read must NOT move A back
+        assert A in ft  # __contains__ is read-only too
+        ft.update(C, 2, 0, 1, 6)  # evicts A: still the LRU flow
+        assert A not in ft
+        assert B in ft and C in ft
 
     def test_idle_expiry(self):
         ft = FlowTable(idle_timeout_ns=1_000)
-        ft.update(("old",), 0, 0, 1, 6)
-        ft.update(("fresh",), 5_000, 0, 1, 6)
+        ft.update(A, 0, 0, 1, 6)  # goes stale
+        ft.update(B, 5_000, 0, 1, 6)
         n = ft.expire_idle(now_ns=5_500)
         assert n == 1
-        assert ("fresh",) in ft and ("old",) not in ft
+        assert B in ft and A not in ft
 
     def test_expire_noop_without_timeout(self):
         ft = FlowTable()
-        ft.update(("k",), 0, 0, 1, 6)
+        ft.update(A, 0, 0, 1, 6)
         assert ft.expire_idle(10**12) == 0
 
     def test_invalid_max_flows(self):

@@ -329,6 +329,22 @@ class TestFlowTier:
         ctrl.on_cycle()
         assert ctrl.action_log == []
 
+    def test_target_memo_holds_no_lists(self):
+        """Shadow accounting memoizes each flow's enforcement targets as
+        a tuple of int tuples, which the collector untracks — not one
+        list object per flow ever seen."""
+        det, ctrl = self.loop()
+        key = hot_flow(det, 1, ts=0, seq=0)
+        ctrl.on_cycle()
+        assert ctrl.blocks.entries  # accounting is on from here
+        for i in range(2, 6):
+            hot_flow(det, i, ts=i * 1000, seq=i)
+        store(det, entry(key, 9000, 9))
+        ctrl.on_cycle()
+        assert ctrl.counters["packets_dropped"] > 0
+        assert len(ctrl._targets_memo) >= 5
+        assert all(type(t) is tuple for t in ctrl._targets_memo.values())
+
     def test_chunked_on_cycle_equals_one_shot(self):
         """The flow cursor makes cycle granularity irrelevant: any
         split of the prediction log over on_cycle() calls yields the

@@ -121,6 +121,22 @@ class TestShardedEquivalence:
         stats = det.stats()
         assert len(stats["shards"]) == 2
 
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_evicted_updates_counted(self, bundle, stream, shards):
+        """With ``max_flows=1`` most pending updates belong to flow lives
+        evicted before the poll: each is dropped and counted, never lost
+        silently."""
+        det = AutomatedDDoSDetector(bundle, batched=True, max_flows=1)
+        det.run_stream(stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,
+                       shards=shards)
+        stats = det.stats()
+        for part in stats.get("shards") or [stats]:
+            assert part["updates_evicted"] > 0
+            assert part["updates_registered"] == (
+                part["predictions_stored"] + part["updates_evicted"]
+                + part["skipped_evicted"] + part["pending_updates"]
+            )
+
     def test_chaos_replay_independent_of_worker_count(self, bundle, stream):
         _, db2 = run_mode(bundle, stream, chaos=CHAOS, shards=2)
         _, db4 = run_mode(bundle, stream, chaos=CHAOS, shards=4)

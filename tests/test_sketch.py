@@ -258,8 +258,6 @@ class TestBatchSubset:
         assert np.array_equal(sub.order, ref.order)
         assert np.array_equal(sub.starts, ref.starts)
         assert np.array_equal(sub.counts, ref.counts)
-        assert np.array_equal(sub.first_pos, ref.first_pos)
-        assert np.array_equal(sub.last_pos, ref.last_pos)
         assert np.array_equal(sub.key_hash, ref.key_hash)
         assert np.array_equal(sub.group_ip_a, ref.group_ip_a)
 
