@@ -125,7 +125,7 @@ def stream_and_bundle():
 
 
 def _run(bundle, records, mitigate):
-    det = AutomatedDDoSDetector(bundle, fast_poll=True, batched=True)
+    det = AutomatedDDoSDetector(bundle, fast_poll=True)
     ctrl = MitigationController().attach_to(det) if mitigate else None
     t0 = time.process_time()
     db = det.run_stream(records, poll_every=POLL_EVERY,

@@ -119,7 +119,7 @@ def _lifecycle(force_at=None):
 
 
 def _run(bundle, records, lifecycle=False):
-    det = AutomatedDDoSDetector(bundle, fast_poll=True, batched=True)
+    det = AutomatedDDoSDetector(bundle, fast_poll=True)
     mgr = _lifecycle().attach_to(det) if lifecycle else None
     t0 = time.perf_counter()
     db = det.run_stream(
@@ -131,7 +131,7 @@ def _run(bundle, records, lifecycle=False):
 def test_bench_drift_check_and_swap_latency(synth_records, detector_bundle):
     """Per-check PSI cost and detect-to-install swap latency, measured
     by driving ``on_slice`` directly with the stream's CYCLE slices."""
-    det = AutomatedDDoSDetector(detector_bundle, fast_poll=True, batched=True)
+    det = AutomatedDDoSDetector(detector_bundle, fast_poll=True)
     mgr = _lifecycle(force_at=4).attach_to(det)
 
     check_laps = []

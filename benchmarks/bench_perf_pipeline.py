@@ -7,11 +7,9 @@ model training/inference, and the live detector's per-record throughput
 
 This module is also the **perf-trajectory harness**: every test records
 its throughput into a module-level scoreboard, which is written to
-``benchmarks/BENCH_pipeline.json`` at teardown.  The committed copy of
-that file is the baseline; :func:`test_perf_detector_batched_vs_scalar`
-fails when the batched/scalar speedup ratio regresses more than
-``REGRESSION_TOLERANCE`` below it (the ratio, unlike absolute records/s,
-is machine-independent, so the gate works on any CI runner).
+``benchmarks/BENCH_pipeline.json`` at teardown.  Its gates are ratios
+measured within one run (vectorized vs per-packet ingest, sharded vs
+in-process), which, unlike absolute records/s, are machine-independent.
 
 ``PERF_PROFILE=quick`` shrinks workloads for CI; the committed baseline
 is produced by a quick run so CI compares like with like.
@@ -50,16 +48,12 @@ SHARD_COUNTS = [
 ]
 
 BENCH_PATH = Path(__file__).parent / "BENCH_pipeline.json"
-#: Allowed relative drop of the batched/scalar speedup vs the baseline.
-REGRESSION_TOLERANCE = 0.20
-#: The tentpole's floor: batched end-to-end must beat scalar by this much.
-MIN_SPEEDUP = 5.0
 
 #: Floor for the 4-worker sharded speedup over 1-worker sharded —
 #: asserted only where >= 4 *usable* CPUs exist to scale onto.
 MIN_SHARD_SPEEDUP_4X = 1.6
 
-#: Ceiling for 1-worker sharded wall time over the batched reference —
+#: Ceiling for 1-worker sharded wall time over the in-process reference —
 #: the frame-protocol overhead bound.  Needs >= 2 usable CPUs: with one
 #: core, coordinator and worker serialize and wall time measures the
 #: scheduler, not the protocol.
@@ -98,23 +92,10 @@ def perf_scoreboard():
         "profile": PROFILE,
         "rates_per_s": {k: round(v, 1) for k, v in sorted(RATES.items())},
     }
-    if "detector_scalar" in RATES and "detector_batched" in RATES:
-        payload["detector_speedup"] = round(
-            RATES["detector_batched"] / RATES["detector_scalar"], 2
-        )
     if SHARD_SCALING:
         payload["shard_scaling"] = SHARD_SCALING
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {BENCH_PATH}")
-
-
-def _baseline_speedup():
-    if not BENCH_PATH.exists():
-        return None
-    try:
-        return json.loads(BENCH_PATH.read_text()).get("detector_speedup")
-    except (ValueError, OSError):
-        return None
 
 
 def _rate(n, seconds):
@@ -181,11 +162,13 @@ def test_perf_feature_extraction(benchmark, synth_records):
 
 
 def test_perf_flow_ingest_batch_vs_scalar(synth_records):
-    """FlowTable fold: per-packet ``update`` vs ``update_batch`` slices."""
+    """Ingest: the live per-packet ``ingest_packet`` path vs
+    ``feed_batch`` slices (the replay path)."""
     from repro.core.collection import IntDataCollection
     from repro.core.database import FlowDatabase
     from repro.core.processor import DataProcessor
     from repro.features import feature_names
+    from repro.features.keys import canonical_flow_key
 
     sub = synth_records[:N_DETECTOR]
     names = feature_names("int")
@@ -196,8 +179,18 @@ def test_perf_flow_ingest_batch_vs_scalar(synth_records):
 
     coll_s, db_s = build()
     t0 = time.perf_counter()
-    for i in range(sub.shape[0]):
-        coll_s.feed_record(sub[i])
+    for r in sub:  # what a report callback does per packet
+        coll_s.processor.ingest_packet(
+            canonical_flow_key(int(r["src_ip"]), int(r["dst_ip"]),
+                               int(r["src_port"]), int(r["dst_port"]),
+                               int(r["protocol"])),
+            ts_sim_ns=int(r["ts_report"]),
+            ingress_ts32=int(r["ingress_ts"]),
+            length=float(r["length"]),
+            protocol=int(r["protocol"]),
+            queue_occupancy=float(r["queue_occupancy"]),
+            hop_latency_ns=float(r["hop_latency"]),
+        )
     scalar_s = time.perf_counter() - t0
 
     coll_b, db_b = build()
@@ -257,68 +250,18 @@ def detector_bundle(synth_records):
 
 
 def test_perf_detector_stream(benchmark, synth_records, detector_bundle):
-    """Live mechanism throughput, batched hot path (records/second)."""
+    """Replay mechanism throughput (records/second)."""
     sub = synth_records[:N_DETECTOR]
 
     def run():
-        det = AutomatedDDoSDetector(detector_bundle, fast_poll=True, batched=True)
+        det = AutomatedDDoSDetector(detector_bundle, fast_poll=True)
         db = det.run_stream(sub, poll_every=128, cycle_budget=256)
         return len(db.predictions)
 
     n, mean_s = _timed(benchmark, run)
     assert n == N_DETECTOR
     rate = _rate(n, mean_s)
-    print(f"\ndetector throughput (batched): {rate:,.0f} records/s")
-
-
-def test_perf_detector_batched_vs_scalar(synth_records, detector_bundle):
-    """The tentpole gate: batched end-to-end must beat the scalar path
-    by :data:`MIN_SPEEDUP` in the *same* run, on identical output, and
-    must not regress vs the committed baseline ratio."""
-    sub = synth_records[:N_DETECTOR]
-    baseline = _baseline_speedup()  # read before the scoreboard overwrites
-
-    def run(batched, repeats=3):
-        # Best-of-N: a single lap on a shared single-core runner can be
-        # 2x off (GC, noisy neighbours); the min is the honest rate.
-        best, db = None, None
-        for _ in range(repeats):
-            det = AutomatedDDoSDetector(detector_bundle, fast_poll=True,
-                                        batched=batched)
-            t0 = time.perf_counter()
-            db = det.run_stream(sub, poll_every=128, cycle_budget=256)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best, db
-
-    run(True, repeats=1)  # warm both code paths / allocator
-    scalar_s, db_s = run(False)
-    batch_s, db_b = run(True)
-
-    # Identical work, not just similar: same predictions, same decisions.
-    assert len(db_b.predictions) == len(db_s.predictions) == N_DETECTOR
-    assert all(
-        (a.key, a.label, a.votes, a.final_decision)
-        == (b.key, b.label, b.votes, b.final_decision)
-        for a, b in zip(db_s.predictions, db_b.predictions)
-    )
-
-    RATES["detector_scalar"] = _rate(N_DETECTOR, scalar_s)
-    RATES["detector_batched"] = _rate(N_DETECTOR, batch_s)
-    speedup = scalar_s / batch_s
-    print(
-        f"\ndetector scalar {RATES['detector_scalar']:,.0f} rec/s, "
-        f"batched {RATES['detector_batched']:,.0f} rec/s ({speedup:.1f}x)"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched path only {speedup:.1f}x over scalar (need {MIN_SPEEDUP}x)"
-    )
-    if baseline is not None:
-        floor = baseline * (1.0 - REGRESSION_TOLERANCE)
-        assert speedup >= floor, (
-            f"batched/scalar speedup {speedup:.1f}x regressed below "
-            f"{floor:.1f}x (baseline {baseline:.1f}x - {REGRESSION_TOLERANCE:.0%})"
-        )
+    print(f"\ndetector throughput: {rate:,.0f} records/s")
 
 
 def test_perf_knn_query():
@@ -363,15 +306,15 @@ def test_perf_knn_query():
 def test_perf_shard_scaling(synth_records, detector_bundle):
     """Horizontal scaling: sharded throughput at each worker count,
     every run gated on byte-identical merged output vs the single-
-    process batched reference.
+    process reference.
 
     Methodology (the digest gate is unconditional; the *ratio* gates
     are honest about the host):
 
-    * timing runs use ``checkpoint_every=0`` — the batched reference
+    * timing runs use ``checkpoint_every=0`` — the in-process reference
       takes no checkpoints, so a cadence-16 sharded run would measure
       snapshot pickling, not the frame protocol;
-    * the batched reference is best-of-2 over the *same* stream and is
+    * the in-process reference is best-of-2 over the *same* stream and is
       the denominator of the 1-worker overhead ratio;
     * every ratio is published only when enough *usable* CPUs
       (``sched_getaffinity``, not ``cpu_count``) exist for it to mean
@@ -385,9 +328,7 @@ def test_perf_shard_scaling(synth_records, detector_bundle):
     n_usable = usable_cpus()
 
     def lap(n_shards=None):
-        det = AutomatedDDoSDetector(
-            detector_bundle, fast_poll=True, batched=True
-        )
+        det = AutomatedDDoSDetector(detector_bundle, fast_poll=True)
         t0 = time.perf_counter()
         if n_shards is None:
             db = det.run_stream(sub, poll_every=128, cycle_budget=256)
@@ -410,11 +351,11 @@ def test_perf_shard_scaling(synth_records, detector_bundle):
             dt, db = lap(n_shards)
             best = dt if best is None else min(best, dt)
         # Equivalence gate — unconditional: the merged prediction log
-        # must be result-identical to the single-process batched run.
+        # must be result-identical to the single-process run.
         assert len(db.predictions) == len(db_ref.predictions)
         assert prediction_log_digest(db) == ref_digest, (
             f"sharded run ({n_shards} workers) diverged from the "
-            f"single-process batched output"
+            f"single-process output"
         )
         rates[n_shards] = _rate(N_SHARD, best)
         RATES[f"detector_sharded_{n_shards}"] = rates[n_shards]
@@ -436,7 +377,7 @@ def test_perf_shard_scaling(synth_records, detector_bundle):
         if n_usable >= 2:
             SHARD_SCALING["sharded_1_overhead_x"] = round(overhead, 2)
             assert overhead <= MAX_SHARD_1_OVERHEAD, (
-                f"1-worker sharded run is {overhead:.2f}x the batched "
+                f"1-worker sharded run is {overhead:.2f}x the in-process "
                 f"wall time (bound {MAX_SHARD_1_OVERHEAD}x): frame "
                 f"protocol overhead regressed"
             )

@@ -107,7 +107,7 @@ def detector_bundle(synth_records):
 
 
 def _run(bundle, records, **kw):
-    det = AutomatedDDoSDetector(bundle, fast_poll=True, batched=True)
+    det = AutomatedDDoSDetector(bundle, fast_poll=True)
     t0 = time.perf_counter()
     db = det.run_stream(
         records, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET, **kw
@@ -118,7 +118,7 @@ def _run(bundle, records, **kw):
 def test_bench_checkpoint_pack_restore(synth_records, detector_bundle):
     """Worker-side checkpoint cost: snapshot + restore of a detector
     loaded with the full stream's flow state."""
-    det = AutomatedDDoSDetector(detector_bundle, fast_poll=True, batched=True)
+    det = AutomatedDDoSDetector(detector_bundle, fast_poll=True)
     det.run_stream(synth_records, poll_every=POLL_EVERY,
                    cycle_budget=CYCLE_BUDGET)
 
@@ -126,7 +126,7 @@ def test_bench_checkpoint_pack_restore(synth_records, detector_bundle):
     blob = snapshot_detector(det, cycles_done=7, last_seq=N_RECORDS - 1)
     pack_s = time.perf_counter() - t0
 
-    fresh = AutomatedDDoSDetector(detector_bundle, fast_poll=True, batched=True)
+    fresh = AutomatedDDoSDetector(detector_bundle, fast_poll=True)
     t0 = time.perf_counter()
     payload = restore_detector(fresh, blob)
     restore_s = time.perf_counter() - t0

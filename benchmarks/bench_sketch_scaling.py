@@ -361,7 +361,7 @@ def test_accuracy_vs_memory_ablation(mixed, bundle):
 
     def run(sketch=None):
         det = AutomatedDDoSDetector(
-            bundle, batched=True, fast_poll=True, sketch=sketch
+            bundle, fast_poll=True, sketch=sketch
         )
         db = det.run_stream(mixed, poll_every=128, cycle_budget=512)
         return det, db
@@ -409,7 +409,7 @@ def test_gated_digest_identical_across_shards(mixed, bundle):
 
     def run(shards=None):
         det = AutomatedDDoSDetector(
-            bundle, batched=True, fast_poll=True, sketch=DEFAULT_SKETCH
+            bundle, fast_poll=True, sketch=DEFAULT_SKETCH
         )
         db = det.run_stream(
             mixed, poll_every=128, cycle_budget=512, shards=shards

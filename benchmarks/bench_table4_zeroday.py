@@ -106,7 +106,7 @@ def test_rolling_drift_degrades_loudly_without_labels(drift_bundle):
     rolling zero-day must surface as WARN before ALARM, an explicit
     ``retrain_skipped`` per alarm, and a DEGRADED Watchdog — the silent
     zero-day decay of Table IV's sFlow column is never reproduced."""
-    det = AutomatedDDoSDetector(drift_bundle, batched=True)
+    det = AutomatedDDoSDetector(drift_bundle)
     mgr = LifecycleManager(LifecycleConfig(
         check_every=1, min_window_records=64, drift_fields=["length"],
         cooldown_checks=0,
@@ -135,7 +135,7 @@ def test_rolling_drift_retrain_failure_rolls_back_loudly(drift_bundle):
     ground truth lags the attack) must produce an explicit ``rollback``
     event and a FAILED Watchdog while the incumbent panel keeps serving
     — never a half-installed panel, never silence."""
-    det = AutomatedDDoSDetector(drift_bundle, batched=True)
+    det = AutomatedDDoSDetector(drift_bundle)
 
     def dead_oracle(records):
         raise RuntimeError("label service unavailable")

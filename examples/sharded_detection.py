@@ -2,7 +2,7 @@
 """Shard-parallel live detection: same answer, more cores.
 
 Builds a small pre-trained panel, replays one synthetic telemetry
-stream through the live mechanism twice — single-process batched, then
+stream through the live mechanism twice — single-process, then
 sharded across two worker processes — and shows that the merged
 prediction log is result-identical (same SHA-256 digest over every
 deterministic entry field), clean *and* under fault injection.
@@ -70,7 +70,7 @@ CHAOS = ChaosSchedule(
 
 def run(shards=None, chaos=None):
     det = AutomatedDDoSDetector(
-        bundle, batched=True, chaos=chaos, chaos_seed=123
+        bundle, chaos=chaos, chaos_seed=123
     )
     t0 = time.perf_counter()
     det.run_stream(stream, poll_every=64, cycle_budget=256, shards=shards)

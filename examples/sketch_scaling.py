@@ -88,7 +88,7 @@ def main():
                                       promote_packets=8)),
     ):
         det = AutomatedDDoSDetector(
-            bundle, batched=True, fast_poll=True, sketch=sketch
+            bundle, fast_poll=True, sketch=sketch
         )
         db = det.run_stream(stream, poll_every=256, cycle_budget=512)
         results[name] = (det, db)

@@ -5,8 +5,9 @@ brand-new Flow IDs), dispatches their feature vectors to the Prediction
 module (step ⑤), retrieves the per-model predictions (step ⑥), and hands
 them to the Data Processor for aggregation (step ⑦).
 
-One :meth:`cycle` is one poll-predict-return round; the live mechanism
-interleaves cycles with packet ingestion, so a cycle's budget
+One :meth:`cycle` is one poll-predict-return round over the polled block
+(one feature matrix, one panel call); the mechanism interleaves cycles
+with packet ingestion, so a cycle's budget
 (``max_updates``) is what throttles prediction throughput — when arrival
 rate exceeds it, the pending backlog (and therefore prediction latency)
 grows, which is how the paper's Table VI latency profile arises.
@@ -14,7 +15,8 @@ grows, which is how the paper's Table VI latency profile arises.
 Production hardening beyond the paper:
 
 * a **deadline budget** per cycle (``deadline_ns``): once a cycle has
-  spent its wall-clock allowance, the rest of the polled batch is *shed*
+  spent its wall-clock allowance (checked every ``BATCH_SHED_CHUNK``
+  updates), the rest of the polled block is *shed*
   (dropped and counted, never silently requeued into an ever-growing
   backlog) and the watchdog marks the module DEGRADED;
 * **retry with exponential backoff** around the database poll, so a
@@ -66,7 +68,7 @@ class CentralServer:
         :func:`time.sleep`.
     """
 
-    #: Updates per deadline check in the batched scatter loop.
+    #: Updates per deadline check in the vote scatter loop.
     BATCH_SHED_CHUNK = 64
     #: Every counter, in stats order.
     COUNTERS = ("cycles", "updates_dispatched", "skipped_evicted", "updates_shed",
@@ -83,7 +85,6 @@ class CentralServer:
         watchdog: Optional[Watchdog] = None,
         clock: Optional[Callable[[], int]] = None,
         sleep: Optional[Callable[[float], None]] = None,
-        batched: bool = False,
     ) -> None:
         if deadline_ns is not None and deadline_ns <= 0:
             raise ValueError(f"deadline_ns must be positive: {deadline_ns}")
@@ -93,7 +94,6 @@ class CentralServer:
         self.processor = processor
         self.prediction = prediction
         self.deadline_ns = deadline_ns
-        self.batched = bool(batched)
         self.poll_attempts = int(poll_attempts)
         self.poll_backoff_s = float(poll_backoff_s)
         self.watchdog = watchdog
@@ -147,62 +147,21 @@ class CentralServer:
         max_updates: Optional[int] = None,
         deadline_ns: Optional[int] = None,
     ) -> int:
-        """Run one coordination round; returns updates polled.
+        """Run one coordination round (steps ④→⑦); returns updates polled.
 
-        ``deadline_ns`` overrides the instance budget for this cycle.
-        The poll hands out one block of pending rows.  A ``batched``
-        server materializes one feature matrix for it and calls every
-        panel member once per cycle; the scalar mode walks the same block
-        row by row (the paper-faithful loop, and the batched path's
-        bit-identity oracle).
+        The poll hands out one block of pending rows; one feature matrix
+        and one ``predict_batch`` serve the whole block, and the votes
+        are scattered back through the flows' sliding windows in row
+        order.  Evicted flows are skipped and counted, an all-quarantined
+        panel sheds the block, and the deadline budget (``deadline_ns``
+        overrides the instance budget for this cycle) sheds the
+        un-scattered tail, checked every :data:`BATCH_SHED_CHUNK`
+        updates — the prediction itself is all-or-nothing.
         """
         self.cycles += 1
         budget = deadline_ns if deadline_ns is not None else self.deadline_ns
         started = self.clock() if budget is not None else 0
         updates = self._poll(max_updates)
-        if self.batched:
-            return self._dispatch_batched(updates, budget, started)
-        for i in range(len(updates)):
-            if budget is not None and self.clock() - started > budget:
-                self._shed_late(budget, len(updates) - i)
-                return len(updates)
-            update = updates[i : i + 1]
-            features = self.processor.features_for(update)
-            if features is None:
-                # Flow evicted between poll and dispatch (flood-pressure
-                # shedding); counted so the loss is visible in stats.
-                self.skipped_evicted += 1
-                continue
-            try:
-                votes = self.prediction.predict_one(features)
-            except PredictionUnavailableError as exc:
-                shed = len(updates) - i
-                self.updates_shed += shed
-                if self.watchdog is not None:
-                    self.watchdog.failed("prediction", str(exc))
-                return len(updates)
-            self.processor.receive_predictions_batch(
-                update, np.asarray(votes)[None, :],
-                epoch=self.prediction.panel_epoch,
-            )
-            self.updates_dispatched += 1
-        if self.watchdog is not None and len(updates):
-            self.watchdog.healthy("central")
-        return len(updates)
-
-    # ------------------------------------------------------------------
-    def _dispatch_batched(self, updates, budget, started) -> int:
-        """Batched step ⑤→⑦: one feature matrix, one ``predict_batch``
-        per panel member, votes scattered back through the flows'
-        sliding windows in row order.
-
-        Resilience semantics carry over from the scalar loop: evicted
-        flows are skipped and counted, an all-quarantined panel sheds
-        the batch, and the deadline budget sheds the un-scattered tail
-        (checked every :data:`BATCH_SHED_CHUNK` updates — the batch
-        prediction itself is all-or-nothing, so shedding granularity is
-        coarser than the scalar loop's per-update check).
-        """
         n = len(updates)
         if n == 0:
             return 0

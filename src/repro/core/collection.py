@@ -2,13 +2,15 @@
 
 Reads from the INT collector — telemetry header, metadata, and IP header
 information (§III-1) — and forwards the per-packet fields the Data
-Processor needs (step ②).  Can run as a live subscriber on an
-:class:`~repro.int_telemetry.collector.IntCollector` or replay an
-already-captured record array in order (the mode the testbed experiment
-uses so wall-clock latency measures only the detection pipeline).
+Processor needs (step ②).  Runs as a live subscriber on an
+:class:`~repro.int_telemetry.collector.IntCollector` (one report per
+``ingest_packet`` call) or replays an already-captured record array
+slice by slice through the vectorized ``feed_batch`` (the mode the
+testbed experiment uses so wall-clock latency measures only the
+detection pipeline).
 
-An sFlow-fed variant implements the same interface so the full mechanism
-can be driven from sampled data for the comparison experiments.
+An sFlow-fed variant replays sampled data through the same slice
+interface for the comparison experiments.
 """
 
 from __future__ import annotations
@@ -65,31 +67,11 @@ class IntDataCollection:
         self.reports_consumed += 1
 
     # -- replay mode ------------------------------------------------------
-    def feed_record(self, row: np.void) -> None:
-        """Consume one REPORT_DTYPE row (offline-stream mode)."""
-        key = canonical_flow_key(
-            int(row["src_ip"]),
-            int(row["dst_ip"]),
-            int(row["src_port"]),
-            int(row["dst_port"]),
-            int(row["protocol"]),
-        )
-        self.processor.ingest_packet(
-            key,
-            ts_sim_ns=int(row["ts_report"]),
-            ingress_ts32=int(row["ingress_ts"]),
-            length=float(row["length"]),
-            protocol=int(row["protocol"]),
-            queue_occupancy=float(row["queue_occupancy"]),
-            hop_latency_ns=float(row["hop_latency"]),
-        )
-        self.reports_consumed += 1
-
     def feed_batch(
         self, records: np.ndarray, seqs: Optional[np.ndarray] = None
     ) -> None:
         """Consume a REPORT_DTYPE slice through the vectorized ingest
-        path (one grouping pass per slice instead of per-packet calls).
+        path (one grouping pass per slice).
 
         ``seqs`` carries coordinator-assigned global sequence numbers in
         sharded runs; omitted, the processor numbers records itself.
@@ -124,30 +106,11 @@ class SFlowDataCollection:
     def state_restore(self, state: dict) -> None:
         self.samples_consumed = int(state["samples_consumed"])
 
-    def feed_record(self, row: np.void) -> None:
-        """Consume one SAMPLE_DTYPE row."""
-        key = canonical_flow_key(
-            int(row["src_ip"]),
-            int(row["dst_ip"]),
-            int(row["src_port"]),
-            int(row["dst_port"]),
-            int(row["protocol"]),
-        )
-        ts = int(row["ts_sample"])
-        self.processor.ingest_packet(
-            key,
-            ts_sim_ns=int(row["ts_collector"]),
-            ingress_ts32=ts % (2**32),
-            length=float(row["length"]),
-            protocol=int(row["protocol"]),
-        )
-        self.samples_consumed += 1
-
     def feed_batch(
         self, records: np.ndarray, seqs: Optional[np.ndarray] = None
     ) -> None:
         """Consume a SAMPLE_DTYPE slice through the vectorized ingest
-        path (queue metadata stays zero, as in the scalar path)."""
+        path (sFlow carries no queue metadata, so it stays zero)."""
         n = records.shape[0]
         if n == 0:
             return

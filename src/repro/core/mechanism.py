@@ -3,13 +3,15 @@
 :class:`AutomatedDDoSDetector` wires the four modules around the shared
 database and owns the one cycle engine — ``step`` (a poll boundary),
 ``drain``/``finish`` (the end-of-stream tail), ``walk`` (the slice walk)
-— that both execution modes used by the experiments drive:
+— that both ways of feeding the experiments drive:
 
-* :meth:`run_stream` — the testbed mode (§IV-C): telemetry records are
-  consumed in capture order, interleaving packet registration with
-  CentralServer cycles.  Wall-clock prediction latency is measured
-  exactly as the paper defines it (prediction time − registration time),
-  and backlog dynamics reproduce the Table VI latency profile.
+* :meth:`run_stream` — the testbed replay (§IV-C): telemetry records are
+  consumed in capture order, one vectorized slice per poll interval,
+  interleaving packet registration with CentralServer cycles.
+  Wall-clock prediction latency is measured exactly as the paper
+  defines it (prediction time − registration time), and backlog
+  dynamics reproduce the Table VI latency profile.  ``shards=N`` runs
+  the same walk over N worker processes.
 * :meth:`attach_live` — fully-live mode: subscribes to an
   :class:`~repro.int_telemetry.collector.IntCollector` while a discrete-
   event simulation is running; the caller interleaves ``step`` calls.
@@ -89,11 +91,6 @@ class AutomatedDDoSDetector:
         Module-health registry; created (with no sinks) if omitted so
         health state is always tracked.  Pass your own to attach
         control-plane sinks.
-    batched : bool
-        Run the vectorized hot path: slice-wise telemetry ingest and
-        one batch prediction per CentralServer cycle.  Output is
-        bit-identical to the scalar path (see the batch-equivalence
-        suite); only throughput differs.
     sketch : SketchConfig, optional
         Enable the sketch admission gate in front of the flow table
         (see :mod:`repro.sketch.gate`): every packet updates a seeded
@@ -117,7 +114,6 @@ class AutomatedDDoSDetector:
         chaos_seed=None,
         cycle_deadline_ns: Optional[int] = None,
         watchdog: Optional[Watchdog] = None,
-        batched: bool = False,
         sketch: Optional[SketchConfig] = None,
     ) -> None:
         self.bundle = bundle
@@ -151,7 +147,7 @@ class AutomatedDDoSDetector:
         self.mitigation: Optional[Any] = None
         #: Attached lifecycle manager (duck-typed; set by
         #: LifecycleManager.attach_to — same layering rule as
-        #: mitigation).  When present, the batched run loop hands it
+        #: mitigation).  When present, the slice walk hands it
         #: every delivered CYCLE slice for drift checks, and its drift/
         #: reservoir/swap state rides the detector checkpoint.
         self.lifecycle: Optional[Any] = None
@@ -184,10 +180,7 @@ class AutomatedDDoSDetector:
             deadline_ns=cycle_deadline_ns,
             watchdog=self.watchdog,
             clock=clock,
-            batched=batched,
         )
-        # Always the collection module: a fault injector fronts it only
-        # on the scalar ``feed_record`` path (``walk`` transforms slices).
         if source == "int":
             self.collection = IntDataCollection(self.processor)
         elif source == "sflow":
@@ -196,9 +189,7 @@ class AutomatedDDoSDetector:
             raise ValueError(f"unknown telemetry source: {source!r}")
         self.fault_injector: Optional[FaultInjector] = None
         if chaos is not None and not chaos.is_noop:
-            self.fault_injector = FaultInjector(
-                chaos, inner=self.collection, seed=chaos_seed
-            )
+            self.fault_injector = FaultInjector(chaos, seed=chaos_seed)
         self.source = source
 
     def _on_quarantine(self, name: str, reason: str, n_active: int) -> None:
@@ -234,8 +225,8 @@ class AutomatedDDoSDetector:
 
     def step(self, budget: int = 128) -> int:
         """One poll boundary: window tick, CentralServer round, mitigation
-        flow tier.  The only place that order is written — both
-        ``run_stream`` loops, a shard worker's CYCLE frame and live
+        flow tier.  The only place that order is written — the
+        ``run_stream`` loop, a shard worker's CYCLE frame and live
         callers all come here.  Returns the updates polled."""
         if self.sketch_gate is not None:
             self.sketch_gate.end_window()
@@ -309,21 +300,20 @@ class AutomatedDDoSDetector:
     ) -> FlowDatabase:
         """Consume a telemetry record array in capture order.
 
-        Every ``poll_every`` registrations, one :meth:`step` runs with
-        ``cycle_budget`` updates of capacity; :meth:`finish` flushes the
-        backlog.  Returns the database holding all predictions.
-
-        A ``batched`` detector feeds ``poll_every``-sized record slices
-        (:meth:`walk`) through the vectorized ingest and steps after
-        each full slice — the same cadence as the scalar per-record
-        loop (the oracle of the batch-equivalence suite), so poll
-        boundaries and everything downstream of them line up exactly.
+        Each ``poll_every`` record slice (:meth:`walk`) goes through the
+        vectorized ingest, and one :meth:`step` with ``cycle_budget``
+        updates of capacity follows each full slice; :meth:`finish`
+        flushes the backlog.  Returns the database holding all
+        predictions.  The result is bit-identical to feeding the same
+        records one at a time through ``ingest_packet`` with a step
+        every ``poll_every`` records (the oracle of the
+        batch-equivalence suite).
 
         ``shards=N`` switches to the shard-parallel mode: telemetry is
         partitioned by canonical-flow hash across ``N`` worker
-        processes (each running the batched pipeline over a shared-
-        memory ring) and the merged prediction log — result-identical
-        to ``batched=True`` in the no-backlog regime, see
+        processes (each running this pipeline over a shared-memory
+        ring) and the merged prediction log — result-identical to the
+        in-process run in the no-backlog regime, see
         :mod:`repro.core.sharding` — lands in this detector's database.
         The sharded mode is supervised: workers are checkpointed every
         ``checkpoint_every`` cycles and crashed/hung workers (including
@@ -353,28 +343,14 @@ class AutomatedDDoSDetector:
                 max_respawns=max_respawns,
                 ring_capacity=ring_capacity,
             )
-        if self.central.batched:
 
-            def deliver(delivered: np.ndarray, boundary: bool) -> None:
-                if delivered.shape[0]:
-                    self.collection.feed_batch(delivered)
-                if boundary:
-                    self.step(cycle_budget)
-
-            self.walk(records, poll_every, deliver)
-            return self.finish(cycle_budget)
-        if self.lifecycle is not None:
-            raise ValueError(
-                "the lifecycle manager requires the batched run mode "
-                "(drift windows are cut at CYCLE slice boundaries)"
-            )
-        feed = self.fault_injector or self.collection
-        for i in range(records.shape[0]):
-            feed.feed_record(records[i])
-            if (i + 1) % poll_every == 0:
+        def deliver(delivered: np.ndarray, boundary: bool) -> None:
+            if delivered.shape[0]:
+                self.collection.feed_batch(delivered)
+            if boundary:
                 self.step(cycle_budget)
-        if self.fault_injector is not None:
-            self.fault_injector.flush()  # release held (reordered) reports
+
+        self.walk(records, poll_every, deliver)
         return self.finish(cycle_budget)
 
     def attach_live(self, collector: IntCollector) -> None:

@@ -7,13 +7,13 @@ panel model on it.  The module never refits anything online — exactly the
 paper's design, where training happens offline on replayed captures.
 
 Production hardening on top of the paper's design: **per-model failure
-isolation**.  A panel member that raises, or returns a non-binary vote
-(a poisoned or corrupted model), accumulates strikes; after
-``failure_threshold`` consecutive strikes it is quarantined and the
-remaining members keep voting with an adjusted quorum (majority over
-the healthy panel).  Only when *every* member is quarantined does the
-module refuse to serve, raising :class:`PredictionUnavailableError` so
-the caller can shed the update instead of crashing the mechanism.
+isolation**.  A panel member that raises, returns the wrong number of
+votes, or returns a vote other than 0/1 (a poisoned or corrupted model)
+is quarantined at once, and the remaining members keep voting with an
+adjusted quorum (majority over the healthy panel).  Only when *every*
+member is quarantined does the module refuse to serve, raising
+:class:`PredictionUnavailableError` so the caller can shed the block
+instead of crashing the mechanism.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class PredictionModule:
     feature_names : sequence of str
         Schema order the feature vectors arrive in; kept for sanity
         checking against the scaler dimensionality.
-    failure_threshold : int
-        Consecutive per-model failures (exception or non-binary output)
-        tolerated before the member is quarantined; a successful
-        prediction resets the member's strike count.
     on_quarantine : callable(name, reason, n_active_left), optional
         Observer invoked when a member is quarantined (the mechanism
         wires this to its watchdog).
@@ -69,7 +65,6 @@ class PredictionModule:
         scaler: StandardScaler,
         models: Dict[str, object],
         feature_names: Sequence[str],
-        failure_threshold: int = 3,
         on_quarantine: Optional[QuarantineHook] = None,
         on_reinstate: Optional[ReinstateHook] = None,
     ) -> None:
@@ -82,12 +77,9 @@ class PredictionModule:
                 f"scaler has {scaler.n_features_} features, schema has "
                 f"{len(feature_names)}"
             )
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1: {failure_threshold}")
         self.scaler = scaler
         self.models = dict(models)
         self.feature_names = list(feature_names)
-        self.failure_threshold = int(failure_threshold)
         self.on_quarantine = on_quarantine
         self.on_reinstate = on_reinstate
         self.predictions_served = 0
@@ -113,10 +105,10 @@ class PredictionModule:
     # ------------------------------------------------------------------
     # failure isolation
     # ------------------------------------------------------------------
-    def _strike(self, name: str, reason: str) -> None:
+    def _fail(self, name: str, reason: str) -> None:
+        """Count one failed block against a member and quarantine it."""
         self.model_failures[name] += 1
-        if self.model_failures[name] >= self.failure_threshold:
-            self.quarantine(name, reason)
+        self.quarantine(name, reason)
 
     def quarantine(self, name: str, reason: str = "operator request") -> None:
         """Remove a member from the voting quorum (idempotent)."""
@@ -130,7 +122,7 @@ class PredictionModule:
 
     def reinstate(self, name: str) -> None:
         """Return a quarantined member to the quorum (e.g. after a
-        model reload); clears its strike count.  Unknown names raise
+        model reload); clears its failure count.  Unknown names raise
         ``KeyError``, symmetric with :meth:`quarantine` — silently
         accepting a typo here would leave an operator convinced a dead
         member was back in the quorum.  Reinstating a member that is
@@ -157,11 +149,11 @@ class PredictionModule:
 
         Validates the replacement like the constructor does, then
         replaces scaler + models and **resets the failure-isolation
-        state** — strikes and quarantine reasons belong to the outgoing
-        generation's models, and carrying them over would quarantine a
-        fresh member for its predecessor's sins.  ``epoch`` must
-        strictly increase; ``panel_hash`` is the content hash of the
-        panel blob the swap was broadcast as.
+        state** — failure counts and quarantine reasons belong to the
+        outgoing generation's models, and carrying them over would
+        quarantine a fresh member for its predecessor's sins.  ``epoch``
+        must strictly increase; ``panel_hash`` is the content hash of
+        the panel blob the swap was broadcast as.
         """
         names = list(feature_names) if feature_names is not None \
             else self.feature_names
@@ -203,53 +195,16 @@ class PredictionModule:
         self.scaler = scaler
         self.models = dict(models)
 
-    def _vote_of(self, name: str, model: object, x: np.ndarray) -> Optional[int]:
-        """One member's vote, or None if the member misbehaved."""
-        try:
-            v = float(model.predict(x)[0])
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            self._strike(name, f"{type(exc).__name__}: {exc}")
-            return None
-        if not np.isfinite(v) or int(v) not in (0, 1):
-            self._strike(name, f"non-binary vote: {v!r}")
-            return None
-        self.model_failures[name] = 0
-        return int(v)
-
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def predict_one(self, features: np.ndarray) -> np.ndarray:
-        """Per-model 0/1 votes for a single feature vector (step ⑤→⑥).
-
-        Returns votes for the *active* panel only; quarantined members
-        are excluded from the quorum.
-        """
-        active = self.active_model_names
-        if not active:
-            raise PredictionUnavailableError(
-                "all panel members quarantined: "
-                + "; ".join(f"{n} ({r})" for n, r in self.quarantined.items())
-            )
-        x = self.scaler.transform(np.asarray(features, dtype=np.float64))[None, :]
-        votes: List[int] = []
-        for name in active:
-            v = self._vote_of(name, self.models[name], x)
-            if v is not None:
-                votes.append(v)
-        if not votes:
-            raise PredictionUnavailableError(
-                "every active panel member failed this update"
-            )
-        self.predictions_served += 1
-        return np.asarray(votes, dtype=np.int64)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Per-model votes for a batch; shape (n_samples, n_active).
+        """Per-model 0/1 votes for a block of feature vectors (steps
+        ⑤→⑥); shape ``(n_samples, n_active)``.
 
-        A member that raises on the batch takes ``failure_threshold``
-        strikes at once (a batch failure is not transient) and its
-        column is dropped.
+        Only the *active* panel votes.  A member that raises, returns
+        other than one vote per row, or votes other than 0/1 is
+        quarantined and its column dropped from this block's votes.
         """
         active = self.active_model_names
         if not active:
@@ -258,25 +213,39 @@ class PredictionModule:
                 + "; ".join(f"{n} ({r})" for n, r in self.quarantined.items())
             )
         Xs = self.scaler.transform(np.asarray(X, dtype=np.float64))
+        n = Xs.shape[0]
+        names: List[str] = []
         cols = []
         for name in active:
             try:
-                cols.append(np.asarray(self.models[name].predict(Xs), dtype=np.int64))
+                col = np.asarray(self.models[name].predict(Xs))
+                if col.shape != (n,):
+                    raise ValueError(f"{col.shape} votes for {n} rows")
             except Exception as exc:  # noqa: BLE001 - isolation boundary
-                self.model_failures[name] = self.failure_threshold
-                self.quarantine(name, f"{type(exc).__name__}: {exc}")
-        if not cols:
+                self._fail(name, f"{type(exc).__name__}: {exc}")
+                continue
+            names.append(name)
+            cols.append(col)
+        V = np.column_stack(cols) if cols else np.empty((n, 0))
+        binary = (V == 0) | (V == 1)
+        if not binary.all():
+            ok = binary.all(axis=0)
+            for j in np.flatnonzero(~ok):
+                bad = V[~binary[:, j], j][0]
+                self._fail(names[j], f"non-binary vote: {bad.item()!r}")
+            V = V[:, ok]
+        if V.shape[1] == 0:
             raise PredictionUnavailableError(
                 "every active panel member failed the batch"
             )
-        self.predictions_served += X.shape[0]
-        return np.column_stack(cols)
+        self.predictions_served += n
+        return V.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
     # checkpoint/restore
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """Serving counters + failure-isolation state (strike counts and
+        """Serving counters + failure-isolation state (failure counts and
         quarantine reasons).  The models and scaler are *not* captured —
         they are immutable after training and travel with the worker
         spec, not the checkpoint."""

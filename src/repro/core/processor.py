@@ -105,12 +105,12 @@ class DataProcessor:
         which *is* the delivered index in single-process runs.  Shard
         workers pass the coordinator-assigned global value instead.
 
-        With a sketch ``gate``, a packet whose flow is neither resident
-        nor promoted consumes its sequence number but creates no record;
-        its volume lands in the gate's residual stats.  Scalar gating
-        treats each packet as its own admission
-        slice — see DESIGN.md §15 for how that differs from batched
-        slice-granular gating.
+        This is the live path (one INT report per call).  With a sketch
+        ``gate``, a packet whose flow is neither resident nor promoted
+        consumes its sequence number but creates no record; its volume
+        lands in the gate's residual stats.  Per-packet gating treats
+        each packet as its own admission slice — see DESIGN.md §15 for
+        how that differs from the replay path's slice-granular gating.
         """
         if self.gate is not None:
             admitted = self.gate.admit_one(
@@ -151,10 +151,10 @@ class DataProcessor:
 
         The wall clock is still read once per record, in record order,
         so registration stamps — and therefore measured prediction
-        latencies — are identical to the scalar path under any injected
-        deterministic clock.  ``seqs`` overrides the per-record sequence
-        numbers (shard workers pass global values); the default matches
-        the scalar path's running count.
+        latencies — are identical to per-record :meth:`ingest_packet`
+        calls under any injected deterministic clock.  ``seqs``
+        overrides the per-record sequence numbers (shard workers pass
+        global values); the default is the running packet count.
 
         With a sketch ``gate``, the whole slice folds into the sketch
         first, then only admitted groups reach the flow table — via
@@ -195,11 +195,6 @@ class DataProcessor:
             self.db.register_update_batch(slots, incs, ts_sim, wall, seqs)
         self.packets_processed += n
         return n
-
-    def features_for(self, update: np.ndarray) -> Optional[np.ndarray]:
-        """The one-row case of :meth:`features_matrix` (None if dead)."""
-        X, valid = self.features_matrix(update)
-        return X[0] if valid[0] else None
 
     def features_matrix(self, updates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(X, valid)`` for a polled block of pending rows: one take of

@@ -9,7 +9,7 @@ Welford moments, pending updates, sliding decision window — lives on exactly
 one worker.  Each worker runs a full, ordinary
 :class:`~repro.core.mechanism.AutomatedDDoSDetector` over its shard of
 the stream; flow-state disjointness is what makes the merged output
-*result-identical* to a single-process batched run.
+*result-identical* to a single-process run.
 
 Data plane
 ----------
@@ -262,8 +262,8 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
     default start method is fork): ring coordinates, the trained bundle,
     the detector configuration, and — for supervised runs — the restore
     blob, checkpoint cadence, and any worker-side chaos fault plan.
-    The worker runs a completely ordinary batched detector — sharding
-    lives entirely outside it.
+    The worker runs a completely ordinary detector — sharding lives
+    entirely outside it.
 
     Pipe protocol (worker → coordinator, all tuples):
 
@@ -289,9 +289,7 @@ def _shard_worker_main(spec: Dict[str, Any], conn: "Connection") -> None:
     record_dtype = np.dtype(spec["record_dtype"])
     ring = SharedRing.attach(str(spec["ring_name"]), _UINT8,
                              int(spec["capacity_bytes"]))
-    det = AutomatedDDoSDetector(
-        bundle=spec["bundle"], batched=True, **spec["config"]
-    )
+    det = AutomatedDDoSDetector(bundle=spec["bundle"], **spec["config"])
     # Mitigation clone: attach BEFORE restore so a checkpointed
     # mitigation payload restores into it.  The spec ships a picklable
     # (factory, config) pair — the factory is a module-level function
@@ -1045,7 +1043,7 @@ def run_sharded(
 
     The coordinator drives the detector's own slice walk
     (:meth:`AutomatedDDoSDetector.walk` — the loop the single-process
-    batched mode runs, fault injector and drift check included),
+    run drives, fault injector and drift check included),
     assigning global sequence numbers to the delivered rows,
     partitioning them by canonical-key hash, and pushing each partition
     into its worker's ring.  Slice boundaries become CYCLE markers on

@@ -1,7 +1,7 @@
 """reprolint — AST-based determinism & concurrency lint for this repo.
 
 PRs 2–3 made the detector's correctness contract *bit-identity*: the
-batched path must equal the scalar path, and the shard-parallel merge
+vectorized path must equal the per-record walk, and the shard-parallel merge
 must equal the single-process run for any worker count, clean and under
 chaos.  End-to-end digest tests enforce that contract after the fact;
 one stray ``time.time()``, unseeded ``np.random.default_rng()``,

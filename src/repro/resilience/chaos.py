@@ -10,20 +10,14 @@ of those failure modes between the telemetry source and the
 collection module, driven by a declarative :class:`ChaosSchedule` and a
 seeded RNG so every chaos run is exactly reproducible.
 
-The injector has two run modes sharing one fault pipeline:
-
-* **scalar streaming** — wrap a collection module (anything with
-  ``feed_record``) and interpose on every record, the way the scalar
-  :meth:`~repro.core.mechanism.AutomatedDDoSDetector.run_stream` loop
-  consumes telemetry;
-* **batch transform** — :meth:`FaultInjector.transform_batch` runs
-  slices through the same per-row pipeline but *returns* the delivered
-  rows; the detector's slice walk uses it for the batched in-process
-  loop and the sharded coordinator alike, so fault replay is independent
-  of who ingests the stream.
-
-:meth:`FaultInjector.apply` additionally transforms a whole record array
-at once, for offline ablations that retrain on degraded captures.
+:meth:`FaultInjector.transform_batch` runs a record slice through the
+per-row fault pipeline and *returns* the delivered rows
+(:meth:`FaultInjector.transform_flush` releases the reports still held
+for reordering at the end of the stream).  The detector's slice walk
+uses it for the in-process loop and the sharded coordinator alike, so
+fault replay is independent of who ingests the stream.
+:meth:`FaultInjector.apply` transforms a whole record array at once,
+for offline ablations that retrain on degraded captures.
 
 Per-report fault order: outage window → burst (Gilbert-Elliott) loss →
 uniform loss → field corruption → duplication → bounded reorder hold.
@@ -192,10 +186,6 @@ class FaultInjector:
     Parameters
     ----------
     schedule : ChaosSchedule
-    inner : object, optional
-        Downstream collection module (``IntDataCollection`` /
-        ``SFlowDataCollection`` or anything with ``feed_record``).
-        Required for streaming mode; :meth:`apply` works without it.
     seed : int | numpy Generator | None
         Fault RNG, funneled through :func:`repro.common.rng.as_generator`
         so chaos runs are reproducible.
@@ -210,29 +200,16 @@ class FaultInjector:
     def __init__(
         self,
         schedule: ChaosSchedule,
-        inner: Optional[object] = None,
         seed: SeedLike = None,
         ts_field: Optional[str] = None,
     ) -> None:
         self.schedule = schedule
-        self.inner = inner
         self.rng = as_generator(seed)
         self.ts_field = ts_field
         self.stats = FaultStats()
         self._bad_state = False  # Gilbert-Elliott channel state
         self._held: List[List] = []  # [countdown, row, original_index]
         self._index = 0
-
-    # ------------------------------------------------------------------
-    # streaming mode (drop-in for a collection module)
-    # ------------------------------------------------------------------
-    def feed_record(self, row: np.void) -> None:
-        """Interpose on one record; forwards 0..2 records downstream."""
-        if self.inner is None:
-            raise RuntimeError("streaming mode needs an inner collection module")
-        for out_row, _ in self._step(row, self._index):
-            self.inner.feed_record(out_row)
-        self._index += 1
 
     @staticmethod
     def _materialize(rows: List[np.void], dtype: np.dtype) -> np.ndarray:
@@ -242,7 +219,7 @@ class FaultInjector:
         return out
 
     # ------------------------------------------------------------------
-    # batch transform mode (the detector's slice walk)
+    # slice transform (the detector's slice walk)
     # ------------------------------------------------------------------
     def transform_batch(self, records: np.ndarray) -> np.ndarray:
         """Run a record slice through the fault pipeline and *return* the
@@ -251,10 +228,9 @@ class FaultInjector:
         Chaos runs on the unified stream *before* any partitioning, so
         the injected fault sequence is a property of the run — not of
         the worker count — and any shard layout replays the identical
-        delivered stream.  The per-row ``_step`` walk is shared with
-        :meth:`feed_record`, so the RNG draw sequence (and therefore
-        every fault decision) matches a scalar run of the same rows
-        exactly.  No inner module is required.
+        delivered stream.  Faults are decided per row (``_step``), so
+        the RNG draw sequence — and therefore every fault decision — is
+        the same however the stream is cut into slices.
         """
         rows: List[np.void] = []
         for i in range(records.shape[0]):
@@ -264,17 +240,9 @@ class FaultInjector:
         return self._materialize(rows, records.dtype)
 
     def transform_flush(self, dtype: np.dtype) -> np.ndarray:
-        """Release held (reordered) reports as an array of the stream's
-        ``dtype``; the transform counterpart of :meth:`flush`."""
+        """Release every held (reordered) report, in original order, as
+        an array of the stream's ``dtype``."""
         return self._materialize([row for row, _ in self._drain()], dtype)
-
-    def flush(self) -> int:
-        """Release every held (reordered) report; returns the count."""
-        released = self._drain()
-        if self.inner is not None:
-            for out_row, _ in released:
-                self.inner.feed_record(out_row)
-        return len(released)
 
     # ------------------------------------------------------------------
     # checkpoint/restore
@@ -319,9 +287,9 @@ class FaultInjector:
 
         When the schedule is pure loss (drop/outage only) and
         ``vectorized`` is left on, a mask-based fast path is used; its
-        RNG draws differ from the streaming path's, so use
-        ``vectorized=False`` when byte-exact parity with streaming
-        matters.
+        RNG draws differ from the per-row pipeline's, so use
+        ``vectorized=False`` when byte-exact parity with
+        :meth:`transform_batch` matters.
         """
         s = self.schedule
         pure_loss = (

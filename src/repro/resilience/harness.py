@@ -312,16 +312,17 @@ def _epoch_profile(db) -> tuple:
 
 
 class _PoisonedModel:
-    """Wraps a fitted model; starts raising after ``fail_after`` calls."""
+    """Wraps a fitted model; raises once it has served ``fail_after``
+    predictions (rows, not calls: the panel predicts a block per call)."""
 
     def __init__(self, inner: object, fail_after: int) -> None:
         self.inner = inner
         self.fail_after = int(fail_after)
-        self.calls = 0
+        self.rows = 0
 
     def predict(self, X):
-        self.calls += 1
-        if self.calls > self.fail_after:
+        self.rows += len(X)
+        if self.rows > self.fail_after:
             raise RuntimeError("injected model fault (poisoned member)")
         return self.inner.predict(X)
 
@@ -461,7 +462,7 @@ class ResilienceHarness:
         The victim shard and kill cycle are drawn from ``kill_seed``
         (:meth:`ProcessChaos.seeded`), so a failing case replays
         exactly.  The reference digest comes from an unfaulted
-        single-process batched run over the same records; a resilient
+        single-process run over the same records; a resilient
         runtime respawns the victim from its last checkpoint, replays
         the buffered suffix, and merges a byte-identical log.
         """
@@ -476,12 +477,12 @@ class ResilienceHarness:
             kill_seed, n_cycles=n_cycles, n_shards=shards, modes=(mode,)
         )
 
-        ref = AutomatedDDoSDetector(clean.bundle, batched=True)
+        ref = AutomatedDDoSDetector(clean.bundle)
         db_ref = ref.run_stream(
             records, poll_every=poll_every, cycle_budget=cycle_budget
         )
 
-        det = AutomatedDDoSDetector(clean.bundle, batched=True)
+        det = AutomatedDDoSDetector(clean.bundle)
         db = det.run_stream(
             records,
             poll_every=poll_every,
@@ -541,7 +542,7 @@ class ResilienceHarness:
         )
 
         def closed_loop() -> tuple:
-            det = AutomatedDDoSDetector(clean.bundle, batched=True)
+            det = AutomatedDDoSDetector(clean.bundle)
             ctrl = MitigationController().attach_to(det)
             EpisodeBridge(ctrl)
             return det, ctrl
@@ -633,13 +634,13 @@ class ResilienceHarness:
                 force_swap_at_check=force_swap_at_check,
             ))
 
-        ref = AutomatedDDoSDetector(clean.bundle, batched=True)
+        ref = AutomatedDDoSDetector(clean.bundle)
         mgr_ref = lifecycle().attach_to(ref)
         db_ref = ref.run_stream(
             records, poll_every=poll_every, cycle_budget=cycle_budget
         )
 
-        det = AutomatedDDoSDetector(clean.bundle, batched=True)
+        det = AutomatedDDoSDetector(clean.bundle)
         mgr = lifecycle().attach_to(det)
         db = det.run_stream(
             records,

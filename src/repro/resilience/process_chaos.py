@@ -7,7 +7,7 @@ workers to kill at chosen CYCLE boundaries, and the sharded
 coordinator's :class:`~repro.core.sharding.Supervisor` executes (or
 arranges) the kills while the detection run is in flight.  The recovery
 invariant under test: the merged prediction log of a murdered run is
-byte-identical to the unfaulted single-process batched run.
+byte-identical to the unfaulted single-process run.
 
 Three kill modes:
 

@@ -24,7 +24,7 @@ independent of how many shard workers split the slice.
 
 Windows: :meth:`SketchGate.end_window` ticks once per *full* poll
 slice, immediately before the central-server cycle, in every execution
-mode (batched, scalar, live, sharded worker).  Every ``decay_every``
+mode (in-process replay, live, sharded worker).  Every ``decay_every``
 windows the counters halve; ``decay_every=0`` disables aging.
 """
 
@@ -218,11 +218,11 @@ class SketchGate:
     def admit_one(
         self, key_hash: int, length: int, resident: bool, src_ip: int
     ) -> bool:
-        """Scalar admission (singleton-slice semantics).
+        """Per-packet admission (singleton-slice semantics).
 
-        Used by the scalar ingest path; because each packet is its own
-        slice, scalar gating is *not* record-for-record identical to
-        batched gating — see DESIGN.md §15.
+        Used by the live ingest path (``ingest_packet``); because each
+        packet is its own slice, per-packet gating is *not*
+        record-for-record identical to slice gating — see DESIGN.md §15.
         """
         one = np.array([key_hash], dtype=np.uint64)
         pkt_est, byt_est = self.sketch.update_groups(

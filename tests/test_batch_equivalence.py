@@ -1,13 +1,17 @@
-"""Batch-vs-scalar equivalence: the vectorized hot path must be
-*bit-identical* to the paper-faithful scalar pipeline.
+"""Batch equivalence: the vectorized pipeline must be *bit-identical*
+to the paper-faithful per-record walk.
 
-The batched mode exists purely for throughput — every observable
-artifact (flow-record contents, Welford states, LRU order, pending-
-update order, votes, sliding-window decisions, counters, and — under a
-deterministic injected clock — even the wall stamps inside every stored
-:class:`PredictionEntry`) must match the scalar path exactly.  These
-tests replay identical telemetry through both modes and compare
-everything, clean and under the PR 1 chaos schedule.
+``run_stream`` ingests one slice per poll interval and predicts one
+block per cycle, purely for throughput — every observable artifact
+(flow-record contents, Welford states, LRU order, pending-update order,
+votes, sliding-window decisions, counters, and — under a deterministic
+injected clock — even the wall stamps inside every stored
+:class:`PredictionEntry`) must match a drive that feeds the same
+records one at a time.  That per-record drive lives only here, as the
+oracle: :func:`oracle_stream` for ingest and the run loop,
+:func:`oracle_dispatch` for one cycle's predict-and-store.  These tests
+replay identical telemetry both ways and compare everything, clean and
+under the mixed fault schedule ``CHAOS``.
 """
 
 import gc
@@ -82,7 +86,72 @@ def counter_clock():
     return lambda: next(c)
 
 
-def run_detector(bundle, stream, batched, chaos=None, fast_poll=False,
+def ingest_row(det, row):
+    """One delivered record through the live per-packet path, with the
+    field mapping of the detector's telemetry source."""
+    key = canonical_flow_key(
+        int(row["src_ip"]), int(row["dst_ip"]),
+        int(row["src_port"]), int(row["dst_port"]), int(row["protocol"]),
+    )
+    if det.source == "int":
+        det.processor.ingest_packet(
+            key,
+            ts_sim_ns=int(row["ts_report"]),
+            ingress_ts32=int(row["ingress_ts"]),
+            length=float(row["length"]),
+            protocol=int(row["protocol"]),
+            queue_occupancy=float(row["queue_occupancy"]),
+            hop_latency_ns=float(row["hop_latency"]),
+        )
+        det.collection.reports_consumed += 1
+    else:
+        det.processor.ingest_packet(
+            key,
+            ts_sim_ns=int(row["ts_collector"]),
+            ingress_ts32=int(row["ts_sample"]) % 2**32,
+            length=float(row["length"]),
+            protocol=int(row["protocol"]),
+        )
+        det.collection.samples_consumed += 1
+
+
+def oracle_stream(det, records, poll_every=37, cycle_budget=50):
+    """The per-record reference for ``run_stream``: every offered record
+    goes through the fault injector (if any) on its own, every delivered
+    row through :func:`ingest_row`, and one ``step`` follows every
+    ``poll_every`` offered records; then the injector's held rows, then
+    ``finish``."""
+    injector = det.fault_injector
+    for i in range(records.shape[0]):
+        delivered = records[i : i + 1]
+        if injector is not None:
+            delivered = injector.transform_batch(delivered)
+        for row in delivered:
+            ingest_row(det, row)
+        if (i + 1) % poll_every == 0:
+            det.step(cycle_budget)
+    if injector is not None:
+        for row in injector.transform_flush(records.dtype):
+            ingest_row(det, row)
+    return det.finish(cycle_budget)
+
+
+def oracle_dispatch(det):
+    """The per-row reference for one ``central.cycle``: poll one block,
+    then feature row → panel votes → stored result, one row at a time."""
+    updates = det.db.poll_updates()
+    for i in range(len(updates)):
+        update = updates[i : i + 1]
+        X, valid = det.processor.features_matrix(update)
+        if valid[0]:
+            det.processor.receive_predictions_batch(
+                update, det.prediction.predict_batch(X),
+                epoch=det.prediction.panel_epoch,
+            )
+    return len(updates)
+
+
+def run_detector(bundle, stream, oracle=False, chaos=None, fast_poll=False,
                  poll_every=37, cycle_budget=50, **kwargs):
     det = AutomatedDDoSDetector(
         bundle,
@@ -90,10 +159,10 @@ def run_detector(bundle, stream, batched, chaos=None, fast_poll=False,
         clock=counter_clock(),
         chaos=chaos,
         chaos_seed=123,
-        batched=batched,
         **kwargs,
     )
-    db = det.run_stream(stream, poll_every=poll_every, cycle_budget=cycle_budget)
+    drive = oracle_stream if oracle else AutomatedDDoSDetector.run_stream
+    db = drive(det, stream, poll_every=poll_every, cycle_budget=cycle_budget)
     return det, db
 
 
@@ -136,20 +205,21 @@ class TestRunStreamEquivalence:
     @pytest.mark.parametrize("fast_poll", [False, True])
     @pytest.mark.parametrize("chaos", [None, CHAOS], ids=["clean", "chaos"])
     def test_full_replay_identical(self, bundle, stream, chaos, fast_poll):
-        det_s, db_s = run_detector(bundle, stream, False, chaos, fast_poll)
-        det_b, db_b = run_detector(bundle, stream, True, chaos, fast_poll)
+        det_s, db_s = run_detector(
+            bundle, stream, oracle=True, chaos=chaos, fast_poll=fast_poll
+        )
+        det_b, db_b = run_detector(bundle, stream, chaos=chaos, fast_poll=fast_poll)
         # Every stored entry — key, votes, label, windowed decision, and
         # (under the counter clock) both wall stamps — must be equal.
         assert db_s.predictions == db_b.predictions
         assert len(db_s.predictions) > 0
         assert_tables_equal(db_s.flows, db_b.flows)
-        stats_s, stats_b = det_s.stats(), det_b.stats()
-        # The paper-faithful poll scan is the one counter the batched
-        # mode legitimately shares (same polls, same resident flows).
-        assert stats_s == stats_b
+        # Counters too, the modelled poll scan cost included (same polls,
+        # same resident flows).
+        assert det_s.stats() == det_b.stats()
 
     def test_counters_track_replay(self, bundle, stream):
-        det_b, db = run_detector(bundle, stream, True)
+        det_b, db = run_detector(bundle, stream)
         stats = det_b.stats()
         assert stats["reports_consumed"] == stream.shape[0]
         assert stats["packets_processed"] == stream.shape[0]
@@ -157,10 +227,10 @@ class TestRunStreamEquivalence:
         assert stats["predictions_stored"] == len(db.predictions)
 
     def test_max_flows_pressure_identical(self, bundle, stream):
-        # Tight table cap forces the batched ingest onto its scalar
-        # eviction fallback mid-run; results must still match.
-        _, db_s = run_detector(bundle, stream, False, max_flows=7)
-        det_b, db_b = run_detector(bundle, stream, True, max_flows=7)
+        # A tight table cap evicts flows inside the slices of the
+        # vectorized fold; results must still match.
+        _, db_s = run_detector(bundle, stream, oracle=True, max_flows=7)
+        det_b, db_b = run_detector(bundle, stream, max_flows=7)
         assert db_s.predictions == db_b.predictions
         assert_tables_equal(db_s.flows, db_b.flows)
         assert det_b.db.flows.evicted > 0
@@ -175,24 +245,44 @@ class TestRunStreamEquivalence:
         samples["ts_collector"] = stream["ts_report"]
         samples["ts_sample"] = stream["ts_report"] % 2**32
         det_s = AutomatedDDoSDetector(bundle, source="sflow", clock=counter_clock())
-        db_s = det_s.run_stream(samples, poll_every=37, cycle_budget=50)
-        det_b = AutomatedDDoSDetector(bundle, source="sflow", clock=counter_clock(),
-                                      batched=True)
+        db_s = oracle_stream(det_s, samples)
+        det_b = AutomatedDDoSDetector(bundle, source="sflow", clock=counter_clock())
         db_b = det_b.run_stream(samples, poll_every=37, cycle_budget=50)
         assert db_s.predictions == db_b.predictions
+        assert len(db_s.predictions) > 0
         assert_tables_equal(db_s.flows, db_b.flows)
+        assert det_s.stats() == det_b.stats()
+
+
+class TestCycleEquivalence:
+    @pytest.mark.parametrize("max_flows", [None, 40])
+    def test_block_dispatch_matches_row_by_row(self, bundle, stream, max_flows):
+        """One polled block through ``cycle`` stores exactly what the
+        same rows stored one at a time do, wall stamps included."""
+        dets = [
+            AutomatedDDoSDetector(bundle, clock=counter_clock(), max_flows=max_flows)
+            for _ in range(2)
+        ]
+        for det in dets:
+            det.collection.feed_batch(stream)
+        block, rows = dets
+        assert block.central.cycle() == oracle_dispatch(rows)
+        assert len(block.db.predictions) > 0
+        assert block.db.predictions == rows.db.predictions
+        assert block.prediction.predictions_served == \
+            rows.prediction.predictions_served
+        # the block is larger than one deadline chunk
+        assert len(block.db.predictions) > block.central.BATCH_SHED_CHUNK
 
 
 # ---------------------------------------------------------------------------
-# batched dispatch resilience semantics
+# dispatch resilience semantics
 # ---------------------------------------------------------------------------
 
 
 class TestBatchedDispatchResilience:
     def _fed_detector(self, bundle, n_records=130):
-        det = AutomatedDDoSDetector(
-            bundle, fast_poll=True, clock=counter_clock(), batched=True
-        )
+        det = AutomatedDDoSDetector(bundle, fast_poll=True, clock=counter_clock())
         records = synthetic_records(n_flows=n_records, pkts_per_flow=1)
         det.collection.feed_batch(records)
         return det, n_records
@@ -235,15 +325,23 @@ class TestBatchedDispatchResilience:
         # Eviction *between* poll and dispatch (the poll itself already
         # drops pending updates of flows evicted earlier).
         det, n = self._fed_detector(bundle)
-        updates = det.db.poll_updates()
         flows = det.db.flows
-        victims = sorted(set(updates["slot"][:3].tolist()))
-        for slot in victims:  # simulate flood-pressure eviction
-            flows._slot.pop(tuple(flows.key_col[slot].tolist()))
-            flows._release([slot])
-        gone = int(np.isin(updates["slot"], victims).sum())
+        poll = det.db.poll_updates
+        gone_per_poll = []
+
+        def poll_then_evict(limit=None):
+            updates = poll(limit=limit)
+            victims = sorted(set(updates["slot"][:3].tolist()))
+            for slot in victims:  # simulate flood-pressure eviction
+                flows._slot.pop(tuple(flows.key_col[slot].tolist()))
+                flows._release([slot])
+            gone_per_poll.append(int(np.isin(updates["slot"], victims).sum()))
+            return updates
+
+        det.db.poll_updates = poll_then_evict
+        assert det.central.cycle() == n
+        gone = gone_per_poll[0]
         assert gone >= 3
-        det.central._dispatch_batched(updates, None, 0)
         stats = det.central.stats()
         assert stats["skipped_evicted"] == gone
         assert stats["updates_dispatched"] == n - gone
@@ -362,8 +460,8 @@ class TestUpdateBatchProperties:
 
 class TestColumnarTable:
     def test_update_batch_is_one_fold(self):
-        """The batched fold never replays the scalar path, and the table
-        no longer moves state through per-record Welford objects."""
+        """The batched fold never replays per-record ``update``, and the
+        table no longer moves state through per-record Welford objects."""
         fold = inspect.getsource(FlowTable.update_batch)
         assert "self.update(" not in fold
         assert "FlowRecord(" not in fold
@@ -374,7 +472,7 @@ class TestColumnarTable:
     def test_no_flow_objects_survive_a_run(self, bundle, stream):
         """Flow state lives in columns: after a run under eviction
         pressure no FlowRecord or Welford is left on the heap."""
-        det, _ = run_detector(bundle, stream, True, max_flows=7)
+        det, _ = run_detector(bundle, stream, max_flows=7)
         assert det.db.flows.evicted > 0
         gc.collect()
         assert not [
@@ -382,7 +480,7 @@ class TestColumnarTable:
         ]
 
     def test_decision_windows_gauge(self, bundle, stream):
-        det, _ = run_detector(bundle, stream, True, max_flows=7)
+        det, _ = run_detector(bundle, stream, max_flows=7)
         stats = det.stats()
         assert det.db.flows.evicted > 0
         # A window is freed with its flow's slot: at most one per

@@ -279,18 +279,18 @@ def test_detector_restore_mid_run_matches_uninterrupted(
     finish the stream there: the digest equals the uninterrupted run."""
     n_slices = -(-stream.shape[0] // POLL_EVERY)
 
-    ref = AutomatedDDoSDetector(bundle, batched=True)
+    ref = AutomatedDDoSDetector(bundle)
     _run_slices(ref, stream, 0, n_slices, 0)
     ref.drain(CYCLE_BUDGET)
     want = prediction_log_digest(ref.db)
 
-    first = AutomatedDDoSDetector(bundle, batched=True)
+    first = AutomatedDDoSDetector(bundle)
     _run_slices(first, stream, 0, cut_slice, 0)
     blob = snapshot_detector(
         first, cycles_done=cut_slice, last_seq=cut_slice * POLL_EVERY - 1
     )
 
-    second = AutomatedDDoSDetector(bundle, batched=True)
+    second = AutomatedDDoSDetector(bundle)
     payload = restore_detector(second, blob)
     assert payload["cycles_done"] == cut_slice
     _run_slices(second, stream, cut_slice, n_slices, 0)

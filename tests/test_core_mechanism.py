@@ -58,17 +58,19 @@ def bundle():
 class TestPredictionModule:
     def test_votes_shape(self, bundle):
         pm = PredictionModule(bundle.scaler, bundle.models, bundle.feature_names)
-        votes = pm.predict_one(np.zeros(len(NAMES)))
-        assert votes.shape == (2,)
-        assert set(votes.tolist()) <= {0, 1}
+        votes = pm.predict_batch(np.zeros((1, len(NAMES))))
+        assert votes.shape == (1, 2)
+        assert votes.dtype == np.int64
+        assert set(votes.ravel().tolist()) <= {0, 1}
 
     def test_batch_matches_single(self, bundle):
         pm = PredictionModule(bundle.scaler, bundle.models, bundle.feature_names)
         rng = np.random.default_rng(0)
         X = rng.normal(500, 100, size=(5, len(NAMES)))
         batch = pm.predict_batch(X)
-        singles = np.vstack([pm.predict_one(x) for x in X])
+        singles = np.vstack([pm.predict_batch(X[i : i + 1]) for i in range(len(X))])
         assert np.array_equal(batch, singles)
+        assert pm.predictions_served == 2 * len(X)
 
     def test_schema_mismatch_rejected(self, bundle):
         with pytest.raises(ValueError):

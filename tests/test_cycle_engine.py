@@ -5,33 +5,36 @@ the only place the per-boundary order (window tick → cycle → mitigation
 sweep → drift check) and the end-of-stream tail are written.  These
 tests hold that three ways:
 
-* a spy records the hook calls of every in-process drive — batched and
-  scalar ``run_stream``, a manual ``feed_batch`` + ``step`` + ``finish``
-  loop, and the live ``attach_live`` drive — and the sequences must be
-  identical (a spy that reads zero calls fails too: that is the
-  tracer-blindness failure the frozen e2e benchmark reports as
-  ``missing_hooks``);
+* a spy records the hook calls of every in-process drive —
+  ``run_stream``, a manual ``feed_batch`` + ``step`` + ``finish`` loop,
+  the per-record oracle of the batch-equivalence suite, and the live
+  ``attach_live`` drive — and the sequences must be identical (a spy
+  that reads zero calls fails too: that is the tracer-blindness failure
+  the frozen e2e benchmark reports as ``missing_hooks``);
 * a structural guard greps ``src/repro`` for second call sites of the
-  hooks and for the names the engine replaced;
+  hooks and for the names the engine and the one run mode replaced;
 * empty and shorter-than-one-slice streams under chaos behave the same
   in-process, with a lifecycle manager, and sharded.
 """
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.core import AutomatedDDoSDetector
+from repro.core.central import CentralServer
+from repro.core.prediction import PredictionModule
 from repro.core.sharding import prediction_log_digest
 from repro.int_telemetry import IntCollector, TelemetryReport
 from repro.int_telemetry.metadata import HopMetadata
 from repro.lifecycle import LifecycleConfig, LifecycleManager
 from repro.mitigation import MitigationController
-from repro.resilience.chaos import ChaosSchedule
+from repro.resilience.chaos import ChaosSchedule, FaultInjector
 from repro.sketch import SketchConfig
 
-from .test_batch_equivalence import CHAOS
+from .test_batch_equivalence import CHAOS, oracle_stream
 from .test_batch_equivalence import bundle, stream  # noqa: F401 (fixtures)
 
 POLL_EVERY = 37
@@ -51,18 +54,16 @@ HOOKS = {
 }
 
 
-def spied_detector(bundle, batched):
+def spied_detector(bundle):
     """Detector with every layer attached and an instance-attribute spy
     on each hook, installed after construction the way the e2e tracer
     does — so a hook reached through a cached bound method reads zero."""
-    # promote_packets=1 admits every flow in both ingest modes, so the
-    # gate ticks without changing what the cycles see.
-    det = AutomatedDDoSDetector(
-        bundle, batched=batched, sketch=SketchConfig(promote_packets=1)
-    )
+    # promote_packets=1 admits every flow in slice and per-packet
+    # ingest alike, so the gate ticks without changing what the cycles
+    # see.
+    det = AutomatedDDoSDetector(bundle, sketch=SketchConfig(promote_packets=1))
     MitigationController().attach_to(det)
-    if batched:
-        LifecycleManager(LifecycleConfig()).attach_to(det)
+    LifecycleManager(LifecycleConfig()).attach_to(det)
     calls = []
 
     def spy(name, fn):
@@ -97,25 +98,26 @@ def as_report(row):
 def test_every_drive_runs_one_hook_sequence(bundle, stream):  # noqa: F811
     assert stream.shape[0] % POLL_EVERY  # a partial tail slice is covered
 
-    det, batched = spied_detector(bundle, batched=True)
+    det, replay = spied_detector(bundle)
     det.run_stream(stream, poll_every=POLL_EVERY, cycle_budget=BUDGET)
     for name in HOOKS:
-        assert name in batched, f"spy on {name} saw no call"
+        assert name in replay, f"spy on {name} saw no call"
     n_boundaries = stream.shape[0] // POLL_EVERY
     boundary = ["end_window", "cycle", "on_cycle", "on_slice"]
-    assert batched[: 4 * n_boundaries] == boundary * n_boundaries
+    assert replay[: 4 * n_boundaries] == boundary * n_boundaries
     # the tail: drain rounds, one sweep, the episode pass (which sweeps
     # once more itself) — and never a window tick
-    tail = batched[4 * n_boundaries :]
+    tail = replay[4 * n_boundaries :]
     assert set(tail[:-3]) == {"cycle"}
     assert tail[-3:] == ["on_cycle", "finish_run", "on_cycle"]
-    want = [name for name in batched if name != "on_slice"]
+    # only the slice walk hands slices to the lifecycle manager
+    want = [name for name in replay if name != "on_slice"]
 
-    det, scalar = spied_detector(bundle, batched=False)
-    det.run_stream(stream, poll_every=POLL_EVERY, cycle_budget=BUDGET)
-    assert scalar == want
+    det, oracle = spied_detector(bundle)
+    oracle_stream(det, stream, poll_every=POLL_EVERY, cycle_budget=BUDGET)
+    assert oracle == want
 
-    det, manual = spied_detector(bundle, batched=True)
+    det, manual = spied_detector(bundle)
     for start in range(0, stream.shape[0], POLL_EVERY):
         chunk = stream[start : start + POLL_EVERY]
         det.collection.feed_batch(chunk)
@@ -124,7 +126,7 @@ def test_every_drive_runs_one_hook_sequence(bundle, stream):  # noqa: F811
     det.finish(BUDGET)
     assert manual == want
 
-    det, live = spied_detector(bundle, batched=True)
+    det, live = spied_detector(bundle)
     collector = IntCollector()
     det.attach_live(collector)
     for i in range(stream.shape[0]):
@@ -172,6 +174,8 @@ def test_replaced_names_are_gone():
     gone = [
         "live" + "_cycle", "_collection" + "_inner",
         "_forward" + "_batch", "_last" + "_dtype",
+        "_dispatch" + "_batched", "predict" + "_one", "features" + "_for",
+        "feed" + "_record", "failure" + "_threshold",
     ]
     files = [ROOT / "README.md", ROOT / "DESIGN.md"]
     for top in ("src", "tests", "benchmarks", "examples"):
@@ -184,6 +188,19 @@ def test_replaced_names_are_gone():
         if name in path.read_text()
     ]
     assert hits == []
+
+
+def test_one_run_mode():
+    """No run-mode switch, no streaming fault injector: the settable
+    values the one run mode removed are gone from the signatures, and
+    nothing in ``src/repro`` passes or reads them."""
+    # spelled in halves so this file passes its own checks
+    removed = {"batched", "inner", "failure" + "_threshold"}
+    for fn in (AutomatedDDoSDetector, CentralServer, PredictionModule,
+               FaultInjector):
+        assert removed.isdisjoint(inspect.signature(fn).parameters), fn
+    assert call_sites(r"\bbatch" + r"ed\s*=|\.batch" + r"ed\b") == []
+    assert call_sites(r"\binner" + r"=") == []
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +218,7 @@ def test_short_stream_under_chaos_same_in_every_mode(
 
     def run(lifecycle=False, **run_kwargs):
         det = AutomatedDDoSDetector(
-            bundle, batched=True, chaos=schedule, chaos_seed=123
+            bundle, chaos=schedule, chaos_seed=123
         )
         if lifecycle:
             LifecycleManager(LifecycleConfig()).attach_to(det)

@@ -314,7 +314,7 @@ def test_replay_of_frame_tagged_buffer_survives_tiny_ring(bundle, stream):
     each one), so a correct recovery proves tags stay aligned with
     frame boundaries across wrap-around and ring reset.
     """
-    det_ref = AutomatedDDoSDetector(bundle, batched=True)
+    det_ref = AutomatedDDoSDetector(bundle)
     db_ref = det_ref.run_stream(
         stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET
     )
@@ -322,7 +322,7 @@ def test_replay_of_frame_tagged_buffer_survives_tiny_ring(bundle, stream):
 
     n_cycles = stream.shape[0] // POLL_EVERY
     plan = ProcessChaos(kills=((max(2, n_cycles // 2), 1, "sigkill"),))
-    det = AutomatedDDoSDetector(bundle, batched=True)
+    det = AutomatedDDoSDetector(bundle)
     db = det.run_stream(
         stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,
         shards=2, process_chaos=plan, checkpoint_every=3,

@@ -114,7 +114,7 @@ def make_manager(bundle, **overrides):
         cooldown_checks=0,
     )
     defaults.update(overrides)
-    det = AutomatedDDoSDetector(bundle, batched=True)
+    det = AutomatedDDoSDetector(bundle)
     mgr = LifecycleManager(LifecycleConfig(**defaults)).attach_to(det)
     return det, mgr
 
@@ -462,7 +462,7 @@ class TestReinstate:
             det.prediction.reinstate("no_such_model")
 
     def test_reinstate_fires_healthy_transition(self, bundle):
-        det = AutomatedDDoSDetector(bundle, batched=True)
+        det = AutomatedDDoSDetector(bundle)
         det.prediction.quarantine("rf", "operator test")
         assert alerts_for(det, "prediction")[-1].state is ModuleHealth.DEGRADED
         det.prediction.reinstate("rf")
@@ -472,7 +472,7 @@ class TestReinstate:
         assert det.prediction.model_failures["rf"] == 0
 
     def test_partial_reinstate_stays_degraded(self, bundle):
-        det = AutomatedDDoSDetector(bundle, batched=True)
+        det = AutomatedDDoSDetector(bundle)
         det.prediction.quarantine("rf", "a")
         det.prediction.quarantine("gnb", "b")
         det.prediction.reinstate("rf")
@@ -481,7 +481,7 @@ class TestReinstate:
         assert "still quarantined" in alert.reason
 
     def test_reinstate_not_quarantined_is_silent_noop(self, bundle):
-        det = AutomatedDDoSDetector(bundle, batched=True)
+        det = AutomatedDDoSDetector(bundle)
         n = len(alerts_for(det, "prediction"))
         det.prediction.reinstate("rf")  # never quarantined
         assert len(alerts_for(det, "prediction")) == n
@@ -491,11 +491,14 @@ class TestReinstate:
 # mechanism integration
 # ---------------------------------------------------------------------------
 class TestMechanism:
-    def test_scalar_mode_with_lifecycle_is_rejected(self, bundle):
-        det = AutomatedDDoSDetector(bundle, batched=False)
-        LifecycleManager(LifecycleConfig()).attach_to(det)
-        with pytest.raises(ValueError, match="batched"):
-            det.run_stream(ref_window(), poll_every=37)
+    def test_default_detector_runs_with_lifecycle(self, bundle):
+        """Every in-process replay cuts CYCLE slices, so a
+        default-constructed detector takes a lifecycle manager."""
+        det, mgr = make_manager(bundle)
+        records = ref_window()
+        db = det.run_stream(records, poll_every=37)
+        assert len(db.predictions) == records.shape[0]
+        assert mgr.checks_done == records.shape[0] // 37
 
     def test_stats_surface_lifecycle(self, bundle):
         det, mgr = make_manager(

@@ -5,7 +5,7 @@ retrains and *hot-swaps* the model panel mid-run must keep the sharded
 runtime byte-deterministic.  The merged prediction log of a sharded run
 (shards 1/2/4, clean and under the PR-1 data-chaos layer, with and
 without seeded worker kills) must be byte-identical to the unfaulted
-single-process batched run carrying the same lifecycle — including runs
+single-process run carrying the same lifecycle — including runs
 where the kill lands on the very cycle the swap barrier is broadcast.
 
 Swap *atomicity* is asserted through the epoch column stamped on every
@@ -98,7 +98,7 @@ def make_lifecycle(force=True):
 def run_life(bundle, stream, chaos=None, shards=None, lifecycle=True,
              force=True, **kw):
     det = AutomatedDDoSDetector(
-        bundle, batched=True, chaos=chaos, chaos_seed=123
+        bundle, chaos=chaos, chaos_seed=123
     )
     mgr = make_lifecycle(force=force).attach_to(det) if lifecycle else None
     db = det.run_stream(
@@ -175,7 +175,7 @@ class TestSwapEquivalence:
         # byte-identical only if every vote of every retrained model
         # matches.)
         _, mgr1, db1 = run_life(bundle, stream)
-        det2 = AutomatedDDoSDetector(bundle, batched=True)
+        det2 = AutomatedDDoSDetector(bundle)
         mgr2 = LifecycleManager(LifecycleConfig(
             check_every=2, min_window_records=32, min_retrain_records=64,
             reservoir_windows=6, holdout_every=4, cooldown_checks=1,

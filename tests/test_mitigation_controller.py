@@ -423,7 +423,7 @@ class TestDetectorCheckpointWithMitigation:
                           panel={"gnb": lambda: GaussianNB()})
 
         def build():
-            det = AutomatedDDoSDetector(bundle, batched=True)
+            det = AutomatedDDoSDetector(bundle)
             ctrl = MitigationController().attach_to(det)
             return det, ctrl
 

@@ -3,7 +3,7 @@
 The acceptance invariant for the mitigation control plane: the canonical
 action-log digest (:meth:`repro.mitigation.MitigationController.
 action_log_digest`) must be byte-identical across the single-process
-batched run and sharded runs with 1, 2 and 4 workers — clean, under the
+run and sharded runs with 1, 2 and 4 workers — clean, under the
 PR-1 data-chaos layer, and with seeded SIGKILL / crash worker-kill
 recovery in play.  Mitigation state rides the same RPRCKPT1 checkpoints
 and replay-buffer recovery as the prediction log, so a kill mid-run must
@@ -68,7 +68,7 @@ def n_cycles_of(stream):
 
 def run_mode(bundle, stream, chaos=None, shards=None, **kw):
     det = AutomatedDDoSDetector(
-        bundle, batched=True, chaos=chaos, chaos_seed=123
+        bundle, chaos=chaos, chaos_seed=123
     )
     ctrl = MitigationController().attach_to(det)
     db = det.run_stream(

@@ -3,7 +3,7 @@
 The acceptance invariant: SIGKILL-ing (or crashing, or hanging) a
 seeded-random shard worker at a seeded-random CYCLE boundary — clean and
 under the PR-1 data-chaos layer — must yield a merged prediction log
-byte-identical to the unfaulted single-process batched run.  Recovery is
+byte-identical to the unfaulted single-process run.  Recovery is
 checkpoint + replay (:mod:`repro.core.checkpoint`,
 :class:`repro.core.sharding.Supervisor`); the digest is the same
 ``(seq, key)``-canonical SHA-256 the shard-equivalence suite uses.
@@ -69,7 +69,7 @@ def n_cycles_of(stream):
 
 def run_mode(bundle, stream, chaos=None, shards=None, **kw):
     det = AutomatedDDoSDetector(
-        bundle, batched=True, chaos=chaos, chaos_seed=123
+        bundle, chaos=chaos, chaos_seed=123
     )
     db = det.run_stream(
         stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,

@@ -61,16 +61,6 @@ def make_records(n=400, n_flows=5, seed=0, gap_ns=1_000_000):
     return a
 
 
-class _RecordingSink:
-    """Inner collection stub that records what the injector forwards."""
-
-    def __init__(self):
-        self.rows = []
-
-    def feed_record(self, row):
-        self.rows.append(row.copy())
-
-
 class _ConstModel:
     def __init__(self, value):
         self.value = value
@@ -216,27 +206,23 @@ def test_reordering_is_bounded_and_lossless():
 
 
 def test_streaming_matches_batch_generic_path():
+    """Slice transforms (the detector's walk; any slicing, one record
+    at a time included) deliver exactly what one whole-array ``apply``
+    does."""
     rec = make_records(600)
     sched = ChaosSchedule(
         drop_rate=0.1, duplicate_rate=0.2, reorder_rate=0.3, reorder_depth=5,
         corrupt_rate=0.1,
     )
-    sink = _RecordingSink()
-    streaming = FaultInjector(sched, inner=sink, seed=7)
-    for i in range(rec.shape[0]):
-        streaming.feed_record(rec[i])
-    streaming.flush()
     batch = FaultInjector(sched, seed=7)
     out, _ = batch.apply(rec, vectorized=False)
-    assert len(sink.rows) == out.shape[0]
-    assert all(sink.rows[i] == out[i] for i in range(out.shape[0]))
-    assert streaming.stats.as_dict() == batch.stats.as_dict()
-
-
-def test_streaming_requires_inner():
-    inj = FaultInjector(ChaosSchedule(), seed=0)
-    with pytest.raises(RuntimeError):
-        inj.feed_record(make_records(1)[0])
+    for width in (1, 37):
+        streaming = FaultInjector(sched, seed=7)
+        parts = [streaming.transform_batch(rec[i : i + width])
+                 for i in range(0, rec.shape[0], width)]
+        parts.append(streaming.transform_flush(rec.dtype))
+        assert (np.concatenate(parts) == out).all()
+        assert streaming.stats.as_dict() == batch.stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -247,10 +233,10 @@ def _feed_through_processor(records, schedule, seed=0):
     db = FlowDatabase(FlowTable())
     processor = DataProcessor(db, FEATURES, emit_partial=True)
     collection = IntDataCollection(processor)
-    inj = FaultInjector(schedule, inner=collection, seed=seed)
-    for i in range(records.shape[0]):
-        inj.feed_record(records[i])
-    inj.flush()
+    inj = FaultInjector(schedule, seed=seed)
+    for start in range(0, records.shape[0], 64):
+        collection.feed_batch(inj.transform_batch(records[start : start + 64]))
+    collection.feed_batch(inj.transform_flush(records.dtype))
     return db, processor, inj
 
 
@@ -321,63 +307,72 @@ def test_chaos_mix_property(subtests=None):
 # ----------------------------------------------------------------------
 
 def test_quarantine_after_consecutive_failures():
+    """One failed block quarantines a member; it stays out of later
+    blocks without counting new failures."""
     events = []
     pm = make_prediction_module(
         {"good": _ConstModel(1), "bad": _RaisingModel()},
-        failure_threshold=3,
         on_quarantine=lambda name, reason, left: events.append((name, left)),
     )
-    x = np.zeros(len(FEATURES))
-    for _ in range(3):
-        votes = pm.predict_one(x)
-        # the misbehaving member is excluded from this update's quorum
-        assert votes.tolist() == [1]
+    X = np.zeros((3, len(FEATURES)))
+    # the misbehaving member is excluded from this block's quorum
+    assert pm.predict_batch(X).tolist() == [[1]] * 3
     assert pm.quarantined.keys() == {"bad"}
     assert events == [("bad", 1)]
     assert pm.active_model_names == ["good"]
-    # quarantined member stays out of later votes without new strikes
-    assert pm.predict_one(x).tolist() == [1]
+    assert pm.predict_batch(X).tolist() == [[1]] * 3
+    assert pm.model_failures == {"good": 0, "bad": 1}
 
 
-def test_success_resets_strike_count():
-    flaky_calls = {"n": 0}
+class _TwoModel:
+    def predict(self, X):
+        return np.full(np.asarray(X).shape[0], 2)
 
-    class _Flaky:
-        def predict(self, X):
-            flaky_calls["n"] += 1
-            if flaky_calls["n"] % 2 == 1:
-                raise RuntimeError("transient")
-            return np.ones(np.asarray(X).shape[0])
 
+class _ShortModel:
+    def predict(self, X):
+        return np.ones(np.asarray(X).shape[0] - 1)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(_NaNModel(), "non-binary vote: nan"),
+     (_TwoModel(), "non-binary vote: 2"),
+     (_ShortModel(), "ValueError")],
+    ids=["nan", "two", "short"],
+)
+def test_predict_batch_quarantines_malformed_votes(bad, reason):
     pm = make_prediction_module(
-        {"flaky": _Flaky(), "good": _ConstModel(0)}, failure_threshold=3
+        {"a": _ConstModel(1), "bad": bad, "c": _ConstModel(0)}
     )
-    x = np.zeros(len(FEATURES))
-    for _ in range(10):  # alternating fail/succeed never quarantines
-        pm.predict_one(x)
-    assert not pm.quarantined
+    X = np.zeros((6, len(FEATURES)))
+    votes = pm.predict_batch(X)
+    assert votes.tolist() == [[1, 0]] * 6
+    assert votes.dtype == np.int64
+    assert pm.quarantined.keys() == {"bad"}
+    assert pm.quarantined["bad"].startswith(reason)
+    assert pm.model_failures["bad"] == 1
+    assert pm.predictions_served == 6
 
 
 def test_non_binary_votes_count_as_failures():
-    pm = make_prediction_module(
-        {"nan": _NaNModel(), "good": _ConstModel(1)}, failure_threshold=2
-    )
-    x = np.zeros(len(FEATURES))
-    pm.predict_one(x)
-    pm.predict_one(x)
+    pm = make_prediction_module({"nan": _NaNModel(), "good": _ConstModel(1)})
+    pm.predict_batch(np.zeros((2, len(FEATURES))))
     assert "nan" in pm.quarantined
     assert "non-binary" in pm.quarantined["nan"]
+    assert pm.model_failures["nan"] == 1
 
 
 def test_all_models_quarantined_raises_unavailable():
-    pm = make_prediction_module({"bad": _RaisingModel()}, failure_threshold=1)
-    x = np.zeros(len(FEATURES))
+    pm = make_prediction_module({"bad": _RaisingModel()})
+    X = np.zeros((1, len(FEATURES)))
     with pytest.raises(PredictionUnavailableError):
-        pm.predict_one(x)  # strike -> quarantine -> nobody voted
+        pm.predict_batch(X)  # failure -> quarantine -> nobody voted
     with pytest.raises(PredictionUnavailableError):
-        pm.predict_one(x)  # empty quorum from the start
+        pm.predict_batch(X)  # empty quorum from the start
     pm.reinstate("bad")
     assert pm.active_model_names == ["bad"]
+    assert pm.model_failures["bad"] == 0
 
 
 def test_predict_batch_drops_failed_member_column():
@@ -410,7 +405,12 @@ def test_skipped_evicted_counter_surfaces_shedding():
     db, processor, prediction, central = make_pipeline()
     _ingest(processor, n=4)
     # simulate flows evicted between poll and dispatch
-    processor.features_for = lambda key: None
+
+    def all_dead(updates):
+        n = len(updates)
+        return np.zeros((n, len(FEATURES))), np.zeros(n, dtype=bool)
+
+    processor.features_matrix = all_dead
     central.cycle()
     assert central.skipped_evicted == 4
     assert central.updates_dispatched == 0
@@ -428,11 +428,15 @@ def test_deadline_budget_sheds_backlog():
     db, processor, prediction, central = make_pipeline(
         clock=clock, deadline_ns=2_500_000, watchdog=watchdog
     )
-    _ingest(processor, n=20, n_flows=4)
+    # The deadline is checked once per BATCH_SHED_CHUNK stored rows, and
+    # storing reads the shared clock once per row: the first chunk fits,
+    # the rest of the block is shed.
+    n = 150
+    _ingest(processor, n=n, n_flows=4)
     central.cycle()
-    assert central.updates_shed > 0
+    assert central.updates_dispatched == central.BATCH_SHED_CHUNK
+    assert central.updates_shed == n - central.BATCH_SHED_CHUNK
     assert central.deadline_hits == 1
-    assert central.updates_dispatched + central.updates_shed <= 20
     assert watchdog.state("central") == ModuleHealth.DEGRADED
     # drain still terminates under a permanently tight deadline
     central.drain(batch=8)
@@ -486,9 +490,7 @@ def test_poll_failure_exhausts_retries_and_raises():
 def test_prediction_unavailable_sheds_not_crashes():
     db = FlowDatabase(FlowTable())
     processor = DataProcessor(db, FEATURES, emit_partial=True)
-    prediction = make_prediction_module(
-        {"bad": _RaisingModel()}, failure_threshold=1
-    )
+    prediction = make_prediction_module({"bad": _RaisingModel()})
     watchdog = Watchdog(clock=lambda: 0)
     central = CentralServer(db, processor, prediction, watchdog=watchdog)
     _ingest(processor, n=3)
@@ -578,12 +580,15 @@ def test_detector_noop_chaos_is_not_wrapped():
 
 
 def test_detector_quarantines_poisoned_member_and_survives():
-    calls = {"n": 0}
+    served = {"rows": 0}
 
     class _Poisoned:
+        """Raises once it has served 100 rows: mid-run, since a cycle
+        predicts up to 128."""
+
         def predict(self, X):
-            calls["n"] += 1
-            if calls["n"] > 10:
+            served["rows"] += np.asarray(X).shape[0]
+            if served["rows"] > 100:
                 raise RuntimeError("poisoned")
             return np.ones(np.asarray(X).shape[0])
 
@@ -598,7 +603,9 @@ def test_detector_quarantines_poisoned_member_and_survives():
     assert stats["health"]["prediction"] == "DEGRADED"
     assert len(db.predictions) > 0
     # votes narrowed from 3 members to 2 after quarantine
+    assert any(len(e.votes) == 3 for e in db.predictions)
     assert any(len(e.votes) == 2 for e in db.predictions)
+    assert stats["quarantined_models"]["p"].startswith("RuntimeError")
 
 
 def test_detector_live_attach_rejected_under_chaos():

@@ -2,7 +2,7 @@
 
 The sharded execution mode exists purely for horizontal throughput: for
 any worker count, the merged prediction log must be *result-identical*
-to the single-process batched run — same entries, same votes, same
+to the single-process run — same entries, same votes, same
 windowed decisions, same sequence numbers — clean and under chaos.
 Identity is asserted through :func:`prediction_log_digest`, a SHA-256
 over the deterministic entry fields in canonical ``(seq, key)`` order
@@ -73,7 +73,7 @@ def stream():
 
 def run_mode(bundle, stream, chaos=None, shards=None):
     det = AutomatedDDoSDetector(
-        bundle, batched=True, chaos=chaos, chaos_seed=123
+        bundle, chaos=chaos, chaos_seed=123
     )
     db = det.run_stream(
         stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,
@@ -126,7 +126,7 @@ class TestShardedEquivalence:
         """With ``max_flows=1`` most pending updates belong to flow lives
         evicted before the poll: each is dropped and counted, never lost
         silently."""
-        det = AutomatedDDoSDetector(bundle, batched=True, max_flows=1)
+        det = AutomatedDDoSDetector(bundle, max_flows=1)
         det.run_stream(stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,
                        shards=shards)
         stats = det.stats()
@@ -157,7 +157,7 @@ SKETCH = SketchConfig(
 
 def run_gated(bundle, stream, chaos=None, shards=None, process_chaos=None):
     det = AutomatedDDoSDetector(
-        bundle, batched=True, chaos=chaos, chaos_seed=123, sketch=SKETCH
+        bundle, chaos=chaos, chaos_seed=123, sketch=SKETCH
     )
     kwargs = {}
     if process_chaos is not None:
@@ -212,7 +212,7 @@ class TestSketchGatedEquivalence:
 
     def test_indivisible_partition_count_rejected(self, bundle, stream):
         cfg = SketchConfig(width=64, depth=2, partitions=9, promote_packets=3)
-        det = AutomatedDDoSDetector(bundle, batched=True, sketch=cfg)
+        det = AutomatedDDoSDetector(bundle, sketch=cfg)
         with pytest.raises(ValueError, match="multiple of n_shards"):
             det.run_stream(
                 stream, poll_every=POLL_EVERY, cycle_budget=CYCLE_BUDGET,
