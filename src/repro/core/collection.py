@@ -2,12 +2,12 @@
 
 Reads from the INT collector — telemetry header, metadata, and IP header
 information (§III-1) — and forwards the per-packet fields the Data
-Processor needs (step ②).  Runs as a live subscriber on an
-:class:`~repro.int_telemetry.collector.IntCollector` (one report per
-``ingest_packet`` call) or replays an already-captured record array
-slice by slice through the vectorized ``feed_batch`` (the mode the
-testbed experiment uses so wall-clock latency measures only the
-detection pipeline).
+Processor needs (step ②).  There is one ingest path, the vectorized
+``feed_batch`` over a :data:`~repro.int_telemetry.report.REPORT_DTYPE`
+slice: a replay hands it one captured slice per poll interval, a live
+run the rows an :class:`~repro.int_telemetry.collector.IntCollector`
+gathered since the last poll boundary (see
+:meth:`~repro.core.mechanism.AutomatedDDoSDetector.attach_live`).
 
 An sFlow-fed variant replays sampled data through the same slice
 interface for the comparison experiments.
@@ -20,9 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.features.batch import group_by_flow
-from repro.features.keys import canonical_flow_key, canonical_key_arrays
-from repro.int_telemetry.collector import IntCollector
-from repro.int_telemetry.report import TelemetryReport
+from repro.features.keys import canonical_key_arrays
 
 from .processor import DataProcessor
 
@@ -42,31 +40,6 @@ class IntDataCollection:
     def state_restore(self, state: dict) -> None:
         self.reports_consumed = int(state["reports_consumed"])
 
-    # -- live mode -------------------------------------------------------
-    def subscribe(self, collector: IntCollector) -> None:
-        """Attach as the collector's live subscriber."""
-        collector.subscriber = self.on_report
-
-    def on_report(self, report: TelemetryReport) -> None:
-        key = canonical_flow_key(
-            report.src_ip,
-            report.dst_ip,
-            report.src_port,
-            report.dst_port,
-            report.protocol,
-        )
-        self.processor.ingest_packet(
-            key,
-            ts_sim_ns=report.ts_report,
-            ingress_ts32=report.ingress_ts,
-            length=report.length,
-            protocol=report.protocol,
-            queue_occupancy=report.queue_occupancy,
-            hop_latency_ns=report.hop_latency_ns,
-        )
-        self.reports_consumed += 1
-
-    # -- replay mode ------------------------------------------------------
     def feed_batch(
         self, records: np.ndarray, seqs: Optional[np.ndarray] = None
     ) -> None:

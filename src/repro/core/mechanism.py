@@ -12,9 +12,12 @@ database and owns the one cycle engine — ``step`` (a poll boundary),
   defines it (prediction time − registration time), and backlog
   dynamics reproduce the Table VI latency profile.  ``shards=N`` runs
   the same walk over N worker processes.
-* :meth:`attach_live` — fully-live mode: subscribes to an
+* :meth:`attach_live` — fully-live mode: reads an
   :class:`~repro.int_telemetry.collector.IntCollector` while a discrete-
-  event simulation is running; the caller interleaves ``step`` calls.
+  event simulation is running; the caller interleaves ``step`` calls,
+  and each ``step`` (and the final ``drain``) first feeds the rows the
+  collector gathered since the last boundary through the same
+  ``feed_batch`` slice path the replay uses.
 
 Scoring helpers convert the stored predictions + ground-truth labels
 into the per-attack-type rows of Table VI.
@@ -187,6 +190,10 @@ class AutomatedDDoSDetector:
             self.collection = SFlowDataCollection(self.processor)
         else:
             raise ValueError(f"unknown telemetry source: {source!r}")
+        #: Live collector read at each boundary (see attach_live), and
+        #: how many of its rows the detector has consumed.
+        self._live: Optional[IntCollector] = None
+        self._live_cursor = 0
         self.fault_injector: Optional[FaultInjector] = None
         if chaos is not None and not chaos.is_noop:
             self.fault_injector = FaultInjector(chaos, seed=chaos_seed)
@@ -224,10 +231,11 @@ class AutomatedDDoSDetector:
         return dict(self._worker_config)
 
     def step(self, budget: int = 128) -> int:
-        """One poll boundary: window tick, CentralServer round, mitigation
-        flow tier.  The only place that order is written — the
-        ``run_stream`` loop, a shard worker's CYCLE frame and live
-        callers all come here.  Returns the updates polled."""
+        """One poll boundary: live pull, window tick, CentralServer
+        round, mitigation flow tier.  The only place that order is
+        written — the ``run_stream`` loop, a shard worker's CYCLE frame
+        and live callers all come here.  Returns the updates polled."""
+        self._pull_live()
         if self.sketch_gate is not None:
             self.sketch_gate.end_window()
         done = self.central.cycle(max_updates=budget)
@@ -238,9 +246,11 @@ class AutomatedDDoSDetector:
     def drain(
         self, budget: int = 512, on_round: Optional[Callable[[], None]] = None
     ) -> int:
-        """End-of-stream tail: cycle until the backlog stops moving
-        (``on_round`` after every productive round), then one mitigation
-        sweep of what that stored.  No window tick: no slice ended."""
+        """End-of-stream tail: live pull, then cycle until the backlog
+        stops moving (``on_round`` after every productive round), then
+        one mitigation sweep of what that stored.  No window tick: no
+        slice ended."""
+        self._pull_live()
         done = self.central.drain(batch=budget, on_round=on_round)
         if self.mitigation is not None:
             self.mitigation.on_cycle()
@@ -304,10 +314,10 @@ class AutomatedDDoSDetector:
         vectorized ingest, and one :meth:`step` with ``cycle_budget``
         updates of capacity follows each full slice; :meth:`finish`
         flushes the backlog.  Returns the database holding all
-        predictions.  The result is bit-identical to feeding the same
-        records one at a time through ``ingest_packet`` with a step
-        every ``poll_every`` records (the oracle of the
-        batch-equivalence suite).
+        predictions.  Without a sketch gate the result is bit-identical
+        to feeding the same records as one-row slices with a step every
+        ``poll_every`` records (the oracle of the batch-equivalence
+        suite).
 
         ``shards=N`` switches to the shard-parallel mode: telemetry is
         partitioned by canonical-flow hash across ``N`` worker
@@ -354,8 +364,10 @@ class AutomatedDDoSDetector:
         return self.finish(cycle_budget)
 
     def attach_live(self, collector: IntCollector) -> None:
-        """Subscribe the collection module to a live INT collector; the
-        caller interleaves :meth:`step` and ends with :meth:`finish`."""
+        """Read a live INT collector: the caller interleaves :meth:`step`
+        and ends with :meth:`finish`, and each boundary first feeds the
+        rows the collector gathered since the previous one as one slice.
+        Rows collected before attaching are not ingested."""
         if self.source != "int":
             raise RuntimeError("live attachment requires the INT source")
         if self.fault_injector is not None:
@@ -363,7 +375,29 @@ class AutomatedDDoSDetector:
                 "chaos injection supports replay mode only; attach the "
                 "FaultInjector to a record stream instead"
             )
-        self.collection.subscribe(collector)
+        self._live = collector
+        self._live_cursor = len(collector)
+
+    def _pull_live(self) -> None:
+        """Feed the attached collector's rows since the last boundary
+        through ``collection.feed_batch`` (no-op without a collector).
+
+        The rows are a view of the collector's buffer, consumed before
+        the next report can grow it: the simulation is single-threaded
+        and ``feed_batch`` copies its columns."""
+        collector = self._live
+        if collector is None:
+            return
+        end = len(collector)
+        if end < self._live_cursor:
+            raise RuntimeError(
+                f"live collector shrank from {self._live_cursor} to {end} "
+                "rows mid-run (cleared?); reports would be skipped"
+            )
+        if end > self._live_cursor:
+            rows = collector.view()[self._live_cursor : end]
+            self._live_cursor = end
+            self.collection.feed_batch(rows)
 
     # ------------------------------------------------------------------
     # observability

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.features.batch import FlowBatch
 from repro.features.flow_record import FEATURE_ORDER
-from repro.features.keys import key_hash_of_key
 from repro.sketch import SketchGate
 
 from repro.ml.voting import majority_vote
@@ -87,54 +86,6 @@ class DataProcessor:
     # ------------------------------------------------------------------
     # step ② — packet data in
     # ------------------------------------------------------------------
-    def ingest_packet(
-        self,
-        key: tuple,
-        ts_sim_ns: int,
-        ingress_ts32: int,
-        length: float,
-        protocol: int,
-        queue_occupancy: float = 0.0,
-        hop_latency_ns: float = 0.0,
-        seq: Optional[int] = None,
-    ) -> None:
-        """Fold one packet into its flow record and register the update.
-
-        ``seq`` is the packet's delivered-stream sequence number; when
-        omitted it defaults to this processor's running packet count,
-        which *is* the delivered index in single-process runs.  Shard
-        workers pass the coordinator-assigned global value instead.
-
-        This is the live path (one INT report per call).  With a sketch
-        ``gate``, a packet whose flow is neither resident nor promoted
-        consumes its sequence number but creates no record; its volume
-        lands in the gate's residual stats.  Per-packet gating treats
-        each packet as its own admission slice — see DESIGN.md §15 for
-        how that differs from the replay path's slice-granular gating.
-        """
-        if self.gate is not None:
-            admitted = self.gate.admit_one(
-                key_hash_of_key(key),
-                int(length),
-                key in self.db.flows,
-                int(key[0]),
-            )
-            if not admitted:
-                self.packets_processed += 1
-                return
-        wall = self.clock()
-        if seq is None:
-            seq = self.packets_processed
-        flows = self.db.flows
-        slot = flows.update(
-            key, ts_sim_ns, ingress_ts32, length, protocol,
-            queue_occupancy, hop_latency_ns,
-        )
-        self.db.register_update_batch(
-            [slot], [flows.incarnation[slot]], [ts_sim_ns], [wall], [seq]
-        )
-        self.packets_processed += 1
-
     def ingest_batch(
         self,
         batch: FlowBatch,
@@ -146,15 +97,16 @@ class DataProcessor:
         hop_latency_ns: Optional[np.ndarray] = None,
         seqs: Optional[np.ndarray] = None,
     ) -> int:
-        """Batched :meth:`ingest_packet`: fold a grouped slice of
-        records into the flow table and register every update.
+        """Fold a grouped slice of records into the flow table and
+        register every update — the one ingest path, replay and live.
 
-        The wall clock is still read once per record, in record order,
-        so registration stamps — and therefore measured prediction
-        latencies — are identical to per-record :meth:`ingest_packet`
-        calls under any injected deterministic clock.  ``seqs``
-        overrides the per-record sequence numbers (shard workers pass
-        global values); the default is the running packet count.
+        The wall clock is read once per record, in record order, so
+        registration stamps — and therefore measured prediction
+        latencies — do not depend on how a stream is sliced under any
+        injected deterministic clock.  ``seqs`` overrides the per-record
+        sequence numbers (shard workers pass global values); the default
+        is the running packet count, which is the delivered index in
+        single-process runs.
 
         With a sketch ``gate``, the whole slice folds into the sketch
         first, then only admitted groups reach the flow table — via

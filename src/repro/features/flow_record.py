@@ -14,8 +14,9 @@ mode reproduces the error discussed in paper §V and feeds the timestamp
 ablation bench.
 
 The flow table stores the record's fields (:data:`STATE_FIELDS`) as one
-column each; a :class:`FlowRecord` is a row decoded to serve a read or
-to apply :meth:`FlowRecord.update`, the one per-packet arithmetic.
+column each and folds packets column-wise; a :class:`FlowRecord` is a
+row decoded to serve a read, and :meth:`FlowRecord.update` is the
+reference arithmetic that fold is tested against.
 """
 
 from __future__ import annotations
@@ -109,7 +110,10 @@ class FlowRecord:
         queue_occupancy: float = 0.0,
         hop_latency_ns: float = 0.0,
     ) -> None:
-        """Fold one packet into the record.
+        """Fold one packet into the record: the §III-2 reference
+        arithmetic that
+        :meth:`~repro.features.flow_table.FlowTable.update_batch`
+        reproduces column-wise, bit for bit (the tests compare the two).
 
         Parameters
         ----------

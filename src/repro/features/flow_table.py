@@ -6,8 +6,9 @@ struct-of-arrays in the style of AMON's fixed-size databricks: one numpy
 column per :data:`~repro.features.flow_record.STATE_FIELDS` field, plus
 the :data:`~repro.features.flow_record.FEATURE_ORDER` row, the key, the
 decision window (§IV-C4) and an incarnation stamp of every slot.
-:class:`~repro.features.flow_record.FlowRecord` is only a decoded view and
-the per-packet arithmetic of the scalar :meth:`FlowTable.update`.  LRU
+:class:`~repro.features.flow_record.FlowRecord` is only a decoded view;
+its per-packet arithmetic is the reference the one fold,
+:meth:`FlowTable.update_batch`, reproduces bit for bit.  LRU
 eviction under ``max_flows`` and idle-flow expiry keep a SYN flood, where
 every spoofed packet creates a new flow, from growing the table without
 bound.
@@ -162,8 +163,8 @@ class FlowTable:
         """A decoded copy of a flow's row, **without refreshing its
         recency**.
 
-        Only :meth:`update` / :meth:`update_batch` move a flow toward
-        the most-recently-used end of the LRU order; reads — feature
+        Only :meth:`update_batch` moves a flow toward the
+        most-recently-used end of the LRU order; reads — feature
         polls, observability probes, sketch-gate residency checks — are
         order-neutral.  This is a contract, not an accident: eviction
         under ``max_flows`` pressure and :meth:`expire_idle` sweeps
@@ -206,39 +207,6 @@ class FlowTable:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def update(
-        self,
-        key: tuple,
-        now_ns: int,
-        ingress_ts32: int,
-        length: float,
-        protocol: int,
-        queue_occupancy: float = 0.0,
-        hop_latency_ns: float = 0.0,
-    ) -> int:
-        """Route one packet into its flow's row (creating the flow if
-        this is a brand-new Flow ID) and return the row's slot: one row
-        read, :meth:`FlowRecord.update`, one row write."""
-        slot_of = self._slot
-        slot = slot_of.get(key)
-        if slot is None:
-            self._reserve(1)
-            slot = slot_of[key] = self._free.pop()
-            self.key_col[slot] = key
-            self.incarnation[slot] += 1
-            self.created += 1
-            if self.max_flows is not None and len(slot_of) > self.max_flows:
-                self._release([slot_of.popitem(last=False)[1]])
-                self.evicted += 1
-        else:
-            slot_of.move_to_end(key)
-        rec = self.get(key)
-        rec.update(now_ns, ingress_ts32, length, protocol, queue_occupancy, hop_latency_ns)
-        for col, value in zip(self._cols.values(), rec.row()):
-            col[slot] = value
-        self._feat[slot] = rec.feature_row()
-        return slot
-
     def update_batch(
         self,
         batch: FlowBatch,
@@ -252,14 +220,16 @@ class FlowTable:
         """Fold a grouped slice of packets (columns in original record
         order) into the table; returns every record's ``(slot,
         incarnation)`` handle, in record order.  Rows, features, LRU
-        order and counters are bit-identical to :meth:`update` once per
-        record in order.
+        order and counters are bit-identical to
+        :meth:`FlowRecord.update` once per record in order, with an LRU
+        move per record and eviction past ``max_flows``.
 
         Each record first gets a slot from :meth:`_walk`.  Then one fold
         takes each state column once, advances every incarnation with a
         loop over *packet position within flow* (each float operation in
-        the scalar path's order, so it rounds identically), and puts
-        each column back once with the touched feature rows refreshed.
+        :meth:`FlowRecord.update`'s order, so it rounds identically), and
+        puts each column back once with the touched feature rows
+        refreshed.
         """
         if batch.n == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -358,8 +328,8 @@ class FlowTable:
     def _walk(
         self, batch: FlowBatch
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int]]:
-        """The scalar path's insert / move-to-end / evict on the key
-        index, record by record: decides which flows are resident, which
+        """Per-record insert / move-to-end / evict on the key index, in
+        record order: decides which flows are resident, which
         are new or re-created, the victims and the final LRU order.  A
         flow evicted and re-created inside the slice has two lives
         (*incarnations*) with a slot each.  Returns every record's slot,

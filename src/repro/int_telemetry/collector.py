@@ -4,12 +4,13 @@ The collector is the off-switch endpoint of Fig 1: it receives one
 telemetry report per packet from the sink switch and accumulates them in
 a structured-array buffer.  The INT Data Collection module of the
 automated mechanism (paper §III-1) reads from here, either in bulk
-(offline training) or as a live stream of callbacks (online detection).
+(offline training) or, in a live run, as the rows that arrived since the
+detector's last poll boundary (one slice per ``step``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -21,7 +22,7 @@ __all__ = ["IntCollector"]
 
 
 class IntCollector:
-    """Accumulates telemetry reports; optionally streams them onward.
+    """Accumulates telemetry reports as :data:`REPORT_DTYPE` rows.
 
     Parameters
     ----------
@@ -29,21 +30,12 @@ class IntCollector:
         Retain the full per-hop metadata objects alongside the flat rows
         (needed by a few tests and the Fig 1 walkthrough; costs memory,
         off by default).
-    subscriber : callable(TelemetryReport), optional
-        Live tap invoked synchronously on every ingested report — this is
-        how the online detection pipeline consumes INT without waiting
-        for the run to finish.
     """
 
-    def __init__(
-        self,
-        keep_stacks: bool = False,
-        subscriber: Optional[Callable[[TelemetryReport], None]] = None,
-    ) -> None:
+    def __init__(self, keep_stacks: bool = False) -> None:
         self._buffer = GrowableRecordBuffer(REPORT_DTYPE, initial_capacity=4096)
         self.keep_stacks = keep_stacks
         self.stacks: List[tuple] = []
-        self.subscriber = subscriber
         self.reports_ingested = 0
 
     def __len__(self) -> int:
@@ -55,8 +47,6 @@ class IntCollector:
         if self.keep_stacks:
             self.stacks.append(report.hop_stack)
         self.reports_ingested += 1
-        if self.subscriber is not None:
-            self.subscriber(report)
 
     def to_records(self) -> np.ndarray:
         """Owning structured array of everything collected so far."""

@@ -9,32 +9,20 @@ source).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from repro.common.buffers import GrowableRecordBuffer
 
-from .datagram import SAMPLE_DTYPE, FlowSample, SFlowDatagram
+from .datagram import SAMPLE_DTYPE, SFlowDatagram
 
 __all__ = ["SFlowCollector"]
 
 
 class SFlowCollector:
-    """Accumulates sampled packet records.
+    """Accumulates sampled packet records."""
 
-    Parameters
-    ----------
-    subscriber : callable(FlowSample, int), optional
-        Live tap invoked as ``subscriber(sample, ts_collector)`` for each
-        unpacked sample (used when driving detection from sFlow live).
-    """
-
-    def __init__(
-        self, subscriber: Optional[Callable[[FlowSample, int], None]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self._buffer = GrowableRecordBuffer(SAMPLE_DTYPE, initial_capacity=1024)
-        self.subscriber = subscriber
         self.datagrams_received = 0
         self.samples_received = 0
 
@@ -47,8 +35,6 @@ class SFlowCollector:
         for sample in dgram.samples:
             self._buffer.append_row(sample.to_row(ts_collector))
             self.samples_received += 1
-            if self.subscriber is not None:
-                self.subscriber(sample, ts_collector)
 
     def to_records(self) -> np.ndarray:
         """Owning structured array of all samples collected so far."""

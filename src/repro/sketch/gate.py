@@ -22,10 +22,15 @@ residency) — independent of record order within the slice and, via the
 virtual-partition construction (see :mod:`repro.sketch.cms`),
 independent of how many shard workers split the slice.
 
+Every drive — in-process replay, live, sharded worker — hands the gate
+the same slices through :meth:`SketchGate.admit_slice` (a live run's
+slice is what its collector gathered since the last poll boundary), so
+gated live and replayed runs over the same slices admit the same flows.
+
 Windows: :meth:`SketchGate.end_window` ticks once per *full* poll
-slice, immediately before the central-server cycle, in every execution
-mode (in-process replay, live, sharded worker).  Every ``decay_every``
-windows the counters halve; ``decay_every=0`` disables aging.
+slice, immediately before the central-server cycle, in every drive.
+Every ``decay_every`` windows the counters halve; ``decay_every=0``
+disables aging.
 """
 
 from __future__ import annotations
@@ -121,13 +126,6 @@ class ResidualAggregator:
         self.total_packets += int(pkt_sum.sum())
         self.total_bytes += int(byt_sum.sum())
 
-    def add_one(self, src_ip: int, packets: int, bytes_: int) -> None:
-        p = (src_ip >> self._shift) if self._shift else src_ip
-        self.packets[p] = self.packets.get(p, 0) + packets
-        self.bytes[p] = self.bytes.get(p, 0) + bytes_
-        self.total_packets += packets
-        self.total_bytes += bytes_
-
     def top_prefixes(self, k: int = 8) -> Tuple[Tuple[str, int, int], ...]:
         """Heaviest residual prefixes as ``(cidr, packets, bytes)``."""
         ranked = sorted(
@@ -214,29 +212,6 @@ class SketchGate:
             self.rejected_packets += int(packets[rej].sum())
             self.residual.add_groups(src_ip[rej], packets[rej], bytes_[rej])
         return admit
-
-    def admit_one(
-        self, key_hash: int, length: int, resident: bool, src_ip: int
-    ) -> bool:
-        """Per-packet admission (singleton-slice semantics).
-
-        Used by the live ingest path (``ingest_packet``); because each
-        packet is its own slice, per-packet gating is *not*
-        record-for-record identical to slice gating — see DESIGN.md §15.
-        """
-        one = np.array([key_hash], dtype=np.uint64)
-        pkt_est, byt_est = self.sketch.update_groups(
-            one,
-            np.array([1], dtype=np.int64),
-            np.array([length], dtype=np.int64),
-        )
-        if resident or bool(self._promoted(pkt_est, byt_est)[0]):
-            if not resident:
-                self.promotions += 1
-            return True
-        self.rejected_packets += 1
-        self.residual.add_one(int(src_ip), 1, int(length))
-        return False
 
     # ------------------------------------------------------------------
     # windows + queries

@@ -17,6 +17,7 @@ under the mixed fault schedule ``CHAOS``.
 import gc
 import inspect
 import itertools
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core import AutomatedDDoSDetector, pretrain
 from repro.core.prediction import PredictionUnavailableError
-from repro.features import FlowRecord, Welford, extract_features, flow_table
+from repro.features import (
+    FEATURE_ORDER, FlowRecord, Welford, extract_features, flow_table,
+)
 from repro.features.batch import group_by_flow
 from repro.features.flow_table import FlowTable
 from repro.features.keys import canonical_flow_key, canonical_key_arrays
@@ -86,53 +89,27 @@ def counter_clock():
     return lambda: next(c)
 
 
-def ingest_row(det, row):
-    """One delivered record through the live per-packet path, with the
-    field mapping of the detector's telemetry source."""
-    key = canonical_flow_key(
-        int(row["src_ip"]), int(row["dst_ip"]),
-        int(row["src_port"]), int(row["dst_port"]), int(row["protocol"]),
-    )
-    if det.source == "int":
-        det.processor.ingest_packet(
-            key,
-            ts_sim_ns=int(row["ts_report"]),
-            ingress_ts32=int(row["ingress_ts"]),
-            length=float(row["length"]),
-            protocol=int(row["protocol"]),
-            queue_occupancy=float(row["queue_occupancy"]),
-            hop_latency_ns=float(row["hop_latency"]),
-        )
-        det.collection.reports_consumed += 1
-    else:
-        det.processor.ingest_packet(
-            key,
-            ts_sim_ns=int(row["ts_collector"]),
-            ingress_ts32=int(row["ts_sample"]) % 2**32,
-            length=float(row["length"]),
-            protocol=int(row["protocol"]),
-        )
-        det.collection.samples_consumed += 1
-
-
 def oracle_stream(det, records, poll_every=37, cycle_budget=50):
     """The per-record reference for ``run_stream``: every offered record
     goes through the fault injector (if any) on its own, every delivered
-    row through :func:`ingest_row`, and one ``step`` follows every
-    ``poll_every`` offered records; then the injector's held rows, then
-    ``finish``."""
+    row through ``feed_batch`` as a one-row slice, and one ``step``
+    follows every ``poll_every`` offered records; then the injector's
+    held rows, then ``finish``."""
     injector = det.fault_injector
+
+    def ingest_rows(delivered):
+        for j in range(delivered.shape[0]):
+            det.collection.feed_batch(delivered[j : j + 1])
+
     for i in range(records.shape[0]):
         delivered = records[i : i + 1]
         if injector is not None:
             delivered = injector.transform_batch(delivered)
-        for row in delivered:
-            ingest_row(det, row)
+        ingest_rows(delivered)
         if (i + 1) % poll_every == 0:
             det.step(cycle_budget)
     if injector is not None:
-        for row in injector.transform_flush(records.dtype):
-            ingest_row(det, row)
+        ingest_rows(injector.transform_flush(records.dtype))
     return det.finish(cycle_budget)
 
 
@@ -166,7 +143,9 @@ def run_detector(bundle, stream, oracle=False, chaos=None, fast_poll=False,
     return det, db
 
 
-def assert_tables_equal(a: FlowTable, b: FlowTable) -> None:
+def assert_tables_equal(a, b: FlowTable) -> None:
+    """``a`` (a :class:`FlowTable` or the :class:`ReferenceFlowTable`
+    model) and ``b`` hold the same flows, records and counters."""
     items_a = [(k, a.get(k)) for k in a.keys()]
     items_b = [(k, b.get(k)) for k in b.keys()]
     keys = [k for k, _ in items_a]
@@ -370,8 +349,44 @@ def _random_records(rng: np.random.Generator, n: int) -> np.ndarray:
     return rec
 
 
+class ReferenceFlowTable:
+    """Pure-Python model of :class:`FlowTable`: an ``OrderedDict`` of
+    :class:`FlowRecord` in LRU order, :meth:`FlowRecord.update` once per
+    packet with a move to the back, and the least recently updated flow
+    evicted past ``max_flows``.  Reads the way :func:`assert_tables_equal`
+    reads a table."""
+
+    def __init__(self, max_flows=None):
+        self.max_flows = max_flows
+        self.records = OrderedDict()
+        self.created = 0
+        self.evicted = 0
+
+    def update(self, key, *packet):
+        rec = self.records.get(key)
+        if rec is None:
+            rec = self.records[key] = FlowRecord(key)
+            self.created += 1
+            if self.max_flows is not None and len(self.records) > self.max_flows:
+                self.records.popitem(last=False)
+                self.evicted += 1
+        else:
+            self.records.move_to_end(key)
+        rec.update(*packet)
+
+    def keys(self):
+        return iter(self.records)
+
+    def get(self, key):
+        return self.records.get(key)
+
+    def feature_rows(self, keys):
+        rows = np.array([self.records[k].feature_row() for k in keys])
+        return rows.reshape(len(keys), len(FEATURE_ORDER)), np.ones(len(keys), bool)
+
+
 def _scalar_table(records, max_flows=None):
-    table = FlowTable(max_flows=max_flows)
+    table = ReferenceFlowTable(max_flows=max_flows)
     for i in range(records.shape[0]):
         r = records[i]
         key = canonical_flow_key(
@@ -382,6 +397,19 @@ def _scalar_table(records, max_flows=None):
                      float(r["length"]), int(r["protocol"]),
                      float(r["queue_occupancy"]), float(r["hop_latency"]))
     return table
+
+
+def fold_packet(table, key, now_ns, ingress_ts32, length, protocol,
+                queue_occupancy=0.0, hop_latency_ns=0.0):
+    """One packet of flow ``key`` into ``table`` through
+    :meth:`FlowTable.update_batch` as a one-record slice; returns the
+    flow's slot."""
+    batch = group_by_flow(*(np.array([v]) for v in key))
+    slots, _ = table.update_batch(
+        batch, [now_ns], [ingress_ts32], [length], [protocol],
+        [queue_occupancy], [hop_latency_ns],
+    )
+    return int(slots[0])
 
 
 def _batched_table(records, cuts, max_flows=None):
@@ -492,8 +520,8 @@ class TestExpireIdleFastScan:
     def test_stops_at_first_fresh_record(self):
         table = FlowTable(idle_timeout_ns=100)
         for f in range(10):
-            table.update((f, 0, 0, 0, 6), now_ns=f * 50, ingress_ts32=0,
-                         length=100.0, protocol=6)
+            fold_packet(table, (f, 0, 0, 0, 6), now_ns=f * 50, ingress_ts32=0,
+                        length=100.0, protocol=6)
         # cutoff = 450 - 100 = 350: flows updated at 0..300 are stale.
         assert table.expire_idle(450) == 7
         assert list(table.keys()) == [(f, 0, 0, 0, 6) for f in (7, 8, 9)]
@@ -502,7 +530,7 @@ class TestExpireIdleFastScan:
 
     def test_noop_without_timeout(self):
         table = FlowTable()
-        table.update((1, 0, 0, 0, 6), now_ns=0, ingress_ts32=0, length=1.0,
-                     protocol=6)
+        fold_packet(table, (1, 0, 0, 0, 6), now_ns=0, ingress_ts32=0,
+                    length=1.0, protocol=6)
         assert table.expire_idle(10**12) == 0
         assert len(table) == 1

@@ -29,7 +29,7 @@ from repro.features import extract_features
 from repro.features.flow_table import FlowTable
 from repro.ml import GaussianNB, RandomForestClassifier
 
-from .test_batch_equivalence import synthetic_records
+from .test_batch_equivalence import fold_packet, synthetic_records
 
 # ---------------------------------------------------------------------------
 # strategies: packet sequences driving a FlowTable
@@ -53,8 +53,8 @@ def _key(i):
 
 def _drive(table, seq, t0=0):
     for n, (i, ts32, length, occ, lat) in enumerate(seq):
-        table.update(
-            _key(i), now_ns=t0 + n * 1000, ingress_ts32=ts32,
+        fold_packet(
+            table, _key(i), now_ns=t0 + n * 1000, ingress_ts32=ts32,
             length=length, protocol=6, queue_occupancy=occ,
             hop_latency_ns=lat,
         )
@@ -142,7 +142,7 @@ def _push(table, dec, pushes):
     columns, creating flows as needed; returns the decisions."""
     for k, _ in pushes:
         if _key(k) not in table:
-            table.update(_key(k), 0, 0, 64.0, 6)
+            fold_packet(table, _key(k), 0, 0, 64.0, 6)
     slots = np.array([table._slot[_key(k)] for k, _ in pushes], np.int64)
     labels = np.array([lbl for _, lbl in pushes], np.int64)
     return dec.push(table.window_bits, table.window_fill, slots, labels).tolist()

@@ -62,13 +62,6 @@ class TestIntCollector:
         col.ingest(make_report(hops=3))
         assert len(col.stacks[0]) == 3
 
-    def test_subscriber_called_synchronously(self):
-        got = []
-        col = IntCollector(subscriber=got.append)
-        r = make_report()
-        col.ingest(r)
-        assert got == [r]
-
     def test_view_is_zero_copy_until_growth(self):
         col = IntCollector()
         col.ingest(make_report(src=42))

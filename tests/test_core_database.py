@@ -29,6 +29,7 @@ from repro.core.sharding import prediction_log_digest, unpack_predictions
 from repro.features.batch import group_by_flow
 from repro.features.flow_table import FlowTable
 
+from .test_batch_equivalence import fold_packet
 from .test_cycle_engine import call_sites
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +41,7 @@ KEY_B = (9, 2, 3, 4, 6)
 def feed(db, key, n, t0=0):
     """Push n packets of a flow into the table + update log."""
     for i in range(n):
-        slot = db.flows.update(key, t0 + i, t0 + i, 100, 6)
+        slot = fold_packet(db.flows, key, t0 + i, t0 + i, 100, 6)
         db.register_update_batch(
             [slot], [db.flows.incarnation[slot]], [t0 + i], [1000 + i]
         )

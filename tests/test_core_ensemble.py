@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from repro.core.ensemble import SlidingDecision
 from repro.features.flow_table import FlowTable
 
+from .test_batch_equivalence import fold_packet
+
 
 class DequeDecision:
     """The pre-column ``SlidingDecision``: one deque per flow key."""
@@ -64,7 +66,7 @@ class Windows:
 
     def slot(self, f):
         if key(f) not in self.table:
-            self.table.update(key(f), 0, 0, 64.0, 6)
+            fold_packet(self.table, key(f), 0, 0, 64.0, 6)
         return self.table._slot[key(f)]
 
     def push_block(self, pushes):

@@ -11,8 +11,12 @@ tests hold that three ways:
   ``attach_live`` drive — and the sequences must be identical (a spy
   that reads zero calls fails too: that is the tracer-blindness failure
   the frozen e2e benchmark reports as ``missing_hooks``);
+* the live drive reads the collector's rows as one slice per ``step``,
+  so its prediction log equals ``run_stream``'s — exact, under
+  ``max_flows`` and sketch-gated;
 * a structural guard greps ``src/repro`` for second call sites of the
-  hooks and for the names the engine and the one run mode replaced;
+  hooks and for the names the engine, the one run mode and the one
+  ingest path replaced;
 * empty and shorter-than-one-slice streams under chaos behave the same
   in-process, with a lifecycle manager, and sharded.
 """
@@ -27,6 +31,7 @@ from repro.core import AutomatedDDoSDetector
 from repro.core.central import CentralServer
 from repro.core.prediction import PredictionModule
 from repro.core.sharding import prediction_log_digest
+from repro.features.flow_table import FlowTable
 from repro.int_telemetry import IntCollector, TelemetryReport
 from repro.int_telemetry.metadata import HopMetadata
 from repro.lifecycle import LifecycleConfig, LifecycleManager
@@ -58,9 +63,8 @@ def spied_detector(bundle):
     """Detector with every layer attached and an instance-attribute spy
     on each hook, installed after construction the way the e2e tracer
     does — so a hook reached through a cached bound method reads zero."""
-    # promote_packets=1 admits every flow in slice and per-packet
-    # ingest alike, so the gate ticks without changing what the cycles
-    # see.
+    # promote_packets=1 admits every flow of every slice, so the gate
+    # ticks without changing what the cycles see.
     det = AutomatedDDoSDetector(bundle, sketch=SketchConfig(promote_packets=1))
     MitigationController().attach_to(det)
     LifecycleManager(LifecycleConfig()).attach_to(det)
@@ -127,15 +131,66 @@ def test_every_drive_runs_one_hook_sequence(bundle, stream):  # noqa: F811
     assert manual == want
 
     det, live = spied_detector(bundle)
-    collector = IntCollector()
-    det.attach_live(collector)
-    for i in range(stream.shape[0]):
-        collector.ingest(as_report(stream[i]))
-        if (i + 1) % POLL_EVERY == 0:
-            det.step(BUDGET)
-    db = det.finish(BUDGET)
+    db = live_drive(det, stream)
     assert live == want
     assert len(db.predictions) == stream.shape[0]
+
+
+def live_drive(det, records):
+    """The live drive: one ``IntCollector.ingest`` per report, a ``step``
+    every ``POLL_EVERY`` reports, then ``finish``."""
+    collector = IntCollector()
+    det.attach_live(collector)
+    for i in range(records.shape[0]):
+        collector.ingest(as_report(records[i]))
+        if (i + 1) % POLL_EVERY == 0:
+            det.step(BUDGET)
+    return det.finish(BUDGET)
+
+
+# ---------------------------------------------------------------------------
+# one ingest path: live reads the collector's rows, one slice per step
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"max_flows": 7}, {"sketch": SketchConfig(promote_packets=3)}],
+    ids=["exact", "max_flows", "sketch"],
+)
+def test_live_drive_matches_replay(bundle, stream, kwargs):  # noqa: F811
+    """A live run feeds the same slices as ``run_stream`` and so stores
+    the same prediction log — sketch-gated runs included."""
+    live = live_drive(AutomatedDDoSDetector(bundle, **kwargs), stream)
+    replay = AutomatedDDoSDetector(bundle, **kwargs).run_stream(
+        stream, poll_every=POLL_EVERY, cycle_budget=BUDGET
+    )
+    assert len(live.predictions) > 0
+    assert prediction_log_digest(live) == prediction_log_digest(replay)
+
+
+def test_live_drive_skips_rows_collected_before_attach(bundle, stream):  # noqa: F811
+    collector = IntCollector()
+    for i in range(5):
+        collector.ingest(as_report(stream[i]))
+    det = AutomatedDDoSDetector(bundle)
+    det.attach_live(collector)
+    collector.ingest(as_report(stream[5]))
+    det.finish(BUDGET)
+    assert det.stats()["reports_consumed"] == 1
+
+
+def test_live_collector_cleared_mid_run_raises(bundle, stream):  # noqa: F811
+    """A cursor into a buffer that shrank would silently skip reports
+    until it grew back: the pull refuses instead."""
+    collector = IntCollector()
+    det = AutomatedDDoSDetector(bundle)
+    det.attach_live(collector)
+    for i in range(POLL_EVERY):
+        collector.ingest(as_report(stream[i]))
+    det.step(BUDGET)
+    collector.clear()
+    collector.ingest(as_report(stream[POLL_EVERY]))
+    with pytest.raises(RuntimeError, match="shrank"):
+        det.step(BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +211,9 @@ def call_sites(pattern):
 
 
 def test_each_hook_has_one_call_site():
+    assert call_sites(r"\._pull_live\(\)") == [
+        ("mechanism.py", "step"), ("mechanism.py", "drain"),
+    ]
     assert call_sites(r"\.end_window\(\)") == [("mechanism.py", "step")]
     assert call_sites(r"\.transform_batch\(") == [("mechanism.py", "walk")]
     assert call_sites(r"\.transform_flush\(") == [("mechanism.py", "walk")]
@@ -177,6 +235,12 @@ def test_replaced_names_are_gone():
         "_dispatch" + "_batched", "predict" + "_one", "features" + "_for",
         "feed" + "_record", "failure" + "_threshold",
     ]
+    # the per-packet ingest stack, as whole words ("classification_report"
+    # is not a report callback)
+    gone_words = [
+        "ingest" + "_packet", "admit" + "_one", "on" + "_report",
+        "add" + "_one", "subscri" + "ber",
+    ]
     files = [ROOT / "README.md", ROOT / "DESIGN.md"]
     for top in ("src", "tests", "benchmarks", "examples"):
         files += sorted((ROOT / top).rglob("*.py"))
@@ -187,7 +251,14 @@ def test_replaced_names_are_gone():
         for name in gone
         if name in path.read_text()
     ]
+    hits += [
+        (str(path.relative_to(ROOT)), name)
+        for path in files
+        for name in gone_words
+        if re.search(rf"\b{name}\b", path.read_text())
+    ]
     assert hits == []
+    assert not hasattr(FlowTable, "update")
 
 
 def test_one_run_mode():

@@ -11,6 +11,8 @@ from repro.features.extract import _segmented_cumsum
 from repro.int_telemetry import REPORT_DTYPE, WRAP_PERIOD_NS
 from repro.sflow import SAMPLE_DTYPE
 
+from .test_batch_equivalence import fold_packet
+
 
 def make_int_records(rows):
     """rows: list of (ts, src, dst, sport, dport, proto, length, occ)."""
@@ -155,8 +157,8 @@ def test_vectorized_equals_streaming(n_flows, n_packets, seed):
     for i, r in enumerate(rec):
         key = (int(r["src_ip"]), int(r["dst_ip"]), int(r["src_port"]),
                int(r["dst_port"]), int(r["protocol"]))
-        ft.update(key, int(r["ts_report"]), int(r["ingress_ts"]),
-                  float(r["length"]), int(r["protocol"]),
-                  float(r["queue_occupancy"]), float(r["hop_latency"]))
+        fold_packet(ft, key, int(r["ts_report"]), int(r["ingress_ts"]),
+                    float(r["length"]), int(r["protocol"]),
+                    float(r["queue_occupancy"]), float(r["hop_latency"]))
         v = np.asarray(ft.get(key).feature_row())[[FEATURE_ORDER.index(n) for n in names]]
         np.testing.assert_allclose(v, fm.X[i], rtol=1e-6, atol=1e-7)

@@ -8,6 +8,8 @@ from repro.core.processor import DataProcessor
 from repro.features import FEATURE_ORDER, FlowRecord, FlowTable, feature_names
 from repro.int_telemetry import WRAP_PERIOD_NS
 
+from .test_batch_equivalence import fold_packet
+
 KEY = (1, 2, 3, 4, 6)
 A, B, C = ((i, 2, 3, 4, 6) for i in (11, 12, 13))
 
@@ -86,10 +88,10 @@ class TestFlowRecord:
 class TestFlowTable:
     def test_creates_and_reuses(self):
         ft = FlowTable()
-        s1 = ft.update(KEY, 0, 0, 100, 6)
+        s1 = fold_packet(ft, KEY, 0, 0, 100, 6)
         n1 = ft.get(KEY).n_packets
-        s2 = ft.update(KEY, 10, 1000, 200, 6)
-        # update returns the flow's slot: the second packet lands in the
+        s2 = fold_packet(ft, KEY, 10, 1000, 200, 6)
+        # the fold returns the flow's slot: the second packet lands in the
         # same row, not in a new flow
         assert s1 == s2
         assert (n1, ft.get(KEY).n_packets) == (1, 2)
@@ -98,15 +100,15 @@ class TestFlowTable:
 
     def test_distinct_flows(self):
         ft = FlowTable()
-        ft.update((1, 2, 3, 4, 6), 0, 0, 100, 6)
-        ft.update((1, 2, 3, 5, 6), 0, 0, 100, 6)
+        fold_packet(ft, (1, 2, 3, 4, 6), 0, 0, 100, 6)
+        fold_packet(ft, (1, 2, 3, 5, 6), 0, 0, 100, 6)
         assert len(ft) == 2
 
     def test_lru_eviction_under_flood(self):
         """A flood of unique flow keys must not grow the table past cap."""
         ft = FlowTable(max_flows=100)
         for i in range(1000):
-            ft.update((i, 2, 3, 4, 6), i, i, 64, 6)
+            fold_packet(ft, (i, 2, 3, 4, 6), i, i, 64, 6)
         assert len(ft) == 100
         assert ft.evicted == 900
         # most recent keys survive
@@ -115,10 +117,10 @@ class TestFlowTable:
 
     def test_update_refreshes_lru_position(self):
         ft = FlowTable(max_flows=2)
-        ft.update(A, 0, 0, 1, 6)
-        ft.update(B, 1, 0, 1, 6)
-        ft.update(A, 2, 0, 1, 6)  # refresh A
-        ft.update(C, 3, 0, 1, 6)  # evicts B, not A
+        fold_packet(ft, A, 0, 0, 1, 6)
+        fold_packet(ft, B, 1, 0, 1, 6)
+        fold_packet(ft, A, 2, 0, 1, 6)  # refresh A
+        fold_packet(ft, C, 3, 0, 1, 6)  # evicts B, not A
         assert A in ft
         assert B not in ft
 
@@ -130,25 +132,25 @@ class TestFlowTable:
         reshuffle which flows a ``max_flows`` cap evicts.
         """
         ft = FlowTable(max_flows=2)
-        ft.update(A, 0, 0, 1, 6)
-        ft.update(B, 1, 0, 1, 6)
+        fold_packet(ft, A, 0, 0, 1, 6)
+        fold_packet(ft, B, 1, 0, 1, 6)
         assert ft.get(A) is not None  # read must NOT move A back
         assert A in ft  # __contains__ is read-only too
-        ft.update(C, 2, 0, 1, 6)  # evicts A: still the LRU flow
+        fold_packet(ft, C, 2, 0, 1, 6)  # evicts A: still the LRU flow
         assert A not in ft
         assert B in ft and C in ft
 
     def test_idle_expiry(self):
         ft = FlowTable(idle_timeout_ns=1_000)
-        ft.update(A, 0, 0, 1, 6)  # goes stale
-        ft.update(B, 5_000, 0, 1, 6)
+        fold_packet(ft, A, 0, 0, 1, 6)  # goes stale
+        fold_packet(ft, B, 5_000, 0, 1, 6)
         n = ft.expire_idle(now_ns=5_500)
         assert n == 1
         assert B in ft and A not in ft
 
     def test_expire_noop_without_timeout(self):
         ft = FlowTable()
-        ft.update(A, 0, 0, 1, 6)
+        fold_packet(ft, A, 0, 0, 1, 6)
         assert ft.expire_idle(10**12) == 0
 
     def test_invalid_max_flows(self):

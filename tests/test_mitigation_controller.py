@@ -42,6 +42,7 @@ from repro.mitigation import (
 )
 from repro.mitigation.controller import PERMANENT
 
+from .test_batch_equivalence import fold_packet
 from .test_core_database import rows_of
 
 SEC = 1_000_000_000
@@ -90,7 +91,7 @@ def feed_flow(det, key, packets, pps):
     start = 0 if rec is None else rec.n_packets
     gap_ns = int(SEC / pps)
     for i in range(start, start + packets):
-        flows.update(key, i * gap_ns, (i * gap_ns) % 2**32, 64.0, 6)
+        fold_packet(flows, key, i * gap_ns, (i * gap_ns) % 2**32, 64.0, 6)
 
 
 def hot_flow(det, i, ts, seq, pps=1000.0, packets=4):

@@ -388,17 +388,7 @@ def test_predict_batch_drops_failed_member_column():
 # ----------------------------------------------------------------------
 
 def _ingest(processor, n=6, n_flows=2):
-    rec = make_records(n, n_flows=n_flows)
-    for i in range(n):
-        row = rec[i]
-        processor.ingest_packet(
-            (int(row["src_ip"]), int(row["dst_ip"]), int(row["src_port"]),
-             int(row["dst_port"]), int(row["protocol"])),
-            ts_sim_ns=int(row["ts_report"]),
-            ingress_ts32=int(row["ingress_ts"]),
-            length=float(row["length"]),
-            protocol=int(row["protocol"]),
-        )
+    IntDataCollection(processor).feed_batch(make_records(n, n_flows=n_flows))
 
 
 def test_skipped_evicted_counter_surfaces_shedding():

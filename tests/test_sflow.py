@@ -145,13 +145,3 @@ class TestSFlowAgentIntegration:
         rec = collector.to_records()
         assert np.all(np.diff(rec["ts_sample"].astype(np.int64)) >= 0)
         assert np.all(rec["ts_collector"] >= rec["ts_sample"])
-
-    def test_subscriber_tap(self):
-        topo = int_path_topology()
-        taps = []
-        collector = SFlowCollector(subscriber=lambda s, t: taps.append((s, t)))
-        agent = SFlowAgent(1, collector, sampler=PacketCountSampler(1),
-                           samples_per_datagram=1)
-        agent.attach(topo.switches["source_sw"])
-        drive_traffic(topo, 3)
-        assert len(taps) == 3

@@ -383,20 +383,3 @@ class TestSketchGate:
             SketchConfig(prefix_bits=33)
         with pytest.raises(ValueError):
             SketchConfig(decay_every=-1)
-
-    def test_scalar_admission_matches_singleton_slices(self):
-        """admit_one is admit_slice on a one-flow slice."""
-        g1 = self.CFG.build()
-        g2 = self.CFG.build()
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            kh = int(rng.integers(0, 2**63))
-            resident = bool(rng.random() < 0.2)
-            a = g2.admit_one(kh, 100, resident, 42)
-            b = g1.admit_slice(
-                np.array([kh], dtype=np.uint64),
-                np.array([1]), np.array([100]),
-                np.array([resident]), np.array([42]),
-            )
-            assert a == bool(b[0])
-        assert g1.stats() == g2.stats()
