@@ -8,7 +8,8 @@ the :data:`~repro.features.flow_record.FEATURE_ORDER` row, the key, the
 decision window (§IV-C4) and an incarnation stamp of every slot.
 :class:`~repro.features.flow_record.FlowRecord` is only a decoded view;
 its per-packet arithmetic is the reference the one fold,
-:meth:`FlowTable.update_batch`, reproduces bit for bit.  LRU
+:meth:`FlowTable.update_batch`, reproduces bit for bit: in numpy steps
+across flows while many are active, in plain floats per flow after.  LRU
 eviction under ``max_flows`` and idle-flow expiry keep a SYN flood, where
 every spoofed packet creates a new flow, from growing the table without
 bound.
@@ -21,7 +22,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.int_telemetry.timestamps import delta32_signed, naive_delta32
+from repro.int_telemetry.timestamps import WRAP_PERIOD_NS, delta32_signed, naive_delta32
 
 from .batch import FlowBatch
 from .flow_record import FEATURE_ORDER, STATE_FIELDS, FlowRecord
@@ -38,6 +39,55 @@ def _std(m2: np.ndarray, n: np.ndarray) -> np.ndarray:
     var = np.zeros(m2.shape[0])
     np.divide(m2, n, out=var, where=n >= 2)
     return np.sqrt(np.maximum(var, 0.0))
+
+
+#: Active incarnations at or below which :meth:`FlowTable.update_batch`
+#: stops stepping columns and finishes each incarnation in plain floats.
+_TAIL_WIDTH = 8
+#: The state columns the fold advances, in :func:`_fold_tail`'s order.
+_FOLD_FIELDS = ("n_packets", "last_ts32", "created_ns", "total_bytes", "duration_s",
+                "size_mean", "size_m2", "iat_mean", "iat_m2", "occ_mean", "occ_m2")
+
+
+def _fold_tail(c, a, j, starts, counts, ts32, now, length, occ, last_gap, wrap_aware):
+    """Finish the ``a`` active incarnations in ``c`` from packet position
+    ``j`` on, each in one loop over Python floats with
+    :meth:`FlowRecord.update`'s operations in its order.  Those are
+    binary64 like the columns, unfused, so they round bit for bit alike."""
+    ts32, now, length, occ = ts32.tolist(), now.tolist(), length.tolist(), occ.tolist()
+    half = WRAP_PERIOD_NS // 2
+    out, gaps = [], []
+    state = zip(starts[:a].tolist(), counts[:a].tolist(),
+                *[c[name][:a].tolist() for name in _FOLD_FIELDS])
+    for s, k, n, last, created, tot, dur, sm, s2, im, i2, om, o2 in state:
+        for r in range(s + j, s + k):
+            t = ts32[r]
+            if n == 0:  # the incarnation's first packet
+                created, gap = now[r], 0.0
+            else:
+                g = t - last
+                if wrap_aware:
+                    g = (g + half) % WRAP_PERIOD_NS - half
+                gap = (g if g > 0 else 0) * _NS
+                d = gap - im
+                im += d / n
+                i2 += d * (gap - im)
+                dur += gap
+            last = t
+            n += 1
+            x, y = length[r], occ[r]
+            tot += x
+            d = x - sm
+            sm += d / n
+            s2 += d * (x - sm)
+            d = y - om
+            om += d / n
+            o2 += d * (y - om)
+        out.append((n, last, created, tot, dur, sm, s2, im, i2, om, o2))
+        gaps.append(gap)
+    last_gap[:a] = gaps
+    for name, col in zip(_FOLD_FIELDS, zip(*out)):
+        c[name][:a] = col
 
 
 def _feature_block(c: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -225,11 +275,15 @@ class FlowTable:
         move per record and eviction past ``max_flows``.
 
         Each record first gets a slot from :meth:`_walk`.  Then one fold
-        takes each state column once, advances every incarnation with a
-        loop over *packet position within flow* (each float operation in
-        :meth:`FlowRecord.update`'s order, so it rounds identically), and
-        puts each column back once with the touched feature rows
-        refreshed.
+        takes each state column once and advances every incarnation in
+        :meth:`FlowRecord.update`'s operation order: one numpy step per
+        *packet position within flow* while more than :data:`_TAIL_WIDTH`
+        incarnations are active, then :func:`_fold_tail`, one plain-float
+        loop per incarnation left.  A campaign slice has a median of 8
+        incarnations and a longest run of 36 packets, so the fold costs
+        per flow, not per packet position.  Both halves round in binary64
+        unfused: the result is bit-identical wherever the switch falls.
+        Each column goes back once, with the touched feature rows refreshed.
         """
         if batch.n == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -273,6 +327,10 @@ class FlowTable:
         # -- vectorized fold, one step per within-flow packet position --
         for j in range(maxc):
             a = G - int(cum[j])  # active prefix length
+            if a <= _TAIL_WIDTH:
+                _fold_tail(c, a, j, starts_d, counts_d, ts32_s, now_s, len_s,
+                           occ_s, last_gap, self.wrap_aware)
+                break
             rows = starts_d[:a] + j
             ts32 = ts32_s[rows]
             ln = len_s[rows]

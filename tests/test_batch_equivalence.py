@@ -33,6 +33,7 @@ from repro.features.batch import group_by_flow
 from repro.features.flow_table import FlowTable
 from repro.features.keys import canonical_flow_key, canonical_key_arrays
 from repro.int_telemetry import REPORT_DTYPE
+from repro.int_telemetry.timestamps import delta32_signed, naive_delta32
 from repro.ml import GaussianNB, RandomForestClassifier
 from repro.resilience.chaos import ChaosSchedule
 
@@ -353,11 +354,13 @@ class ReferenceFlowTable:
     """Pure-Python model of :class:`FlowTable`: an ``OrderedDict`` of
     :class:`FlowRecord` in LRU order, :meth:`FlowRecord.update` once per
     packet with a move to the back, and the least recently updated flow
-    evicted past ``max_flows``.  Reads the way :func:`assert_tables_equal`
-    reads a table."""
+    evicted past ``max_flows``, every record differencing stamps the way
+    ``wrap_aware`` says.  Reads the way :func:`assert_tables_equal` reads a
+    table."""
 
-    def __init__(self, max_flows=None):
+    def __init__(self, max_flows=None, wrap_aware=True):
         self.max_flows = max_flows
+        self.wrap_aware = wrap_aware
         self.records = OrderedDict()
         self.created = 0
         self.evicted = 0
@@ -365,7 +368,7 @@ class ReferenceFlowTable:
     def update(self, key, *packet):
         rec = self.records.get(key)
         if rec is None:
-            rec = self.records[key] = FlowRecord(key)
+            rec = self.records[key] = FlowRecord(key, self.wrap_aware)
             self.created += 1
             if self.max_flows is not None and len(self.records) > self.max_flows:
                 self.records.popitem(last=False)
@@ -385,8 +388,8 @@ class ReferenceFlowTable:
         return rows.reshape(len(keys), len(FEATURE_ORDER)), np.ones(len(keys), bool)
 
 
-def _scalar_table(records, max_flows=None):
-    table = ReferenceFlowTable(max_flows=max_flows)
+def _scalar_table(records, max_flows=None, wrap_aware=True):
+    table = ReferenceFlowTable(max_flows=max_flows, wrap_aware=wrap_aware)
     for i in range(records.shape[0]):
         r = records[i]
         key = canonical_flow_key(
@@ -412,8 +415,8 @@ def fold_packet(table, key, now_ns, ingress_ts32, length, protocol,
     return int(slots[0])
 
 
-def _batched_table(records, cuts, max_flows=None):
-    table = FlowTable(max_flows=max_flows)
+def _batched_table(records, cuts, max_flows=None, wrap_aware=True):
+    table = FlowTable(max_flows=max_flows, wrap_aware=wrap_aware)
     bounds = [0] + sorted(cuts) + [records.shape[0]]
     for a, b in zip(bounds[:-1], bounds[1:]):
         chunk = records[a:b]
@@ -432,8 +435,60 @@ def _batched_table(records, cuts, max_flows=None):
     return table
 
 
+def assert_fold_matches(records, cuts, max_flows=None):
+    """The sliced fold equals the per-record reference, with wrap-aware
+    and with naive stamp differencing."""
+    for wrap_aware in (True, False):
+        assert_tables_equal(
+            _scalar_table(records, max_flows, wrap_aware),
+            _batched_table(records, cuts, max_flows, wrap_aware),
+        )
+
+
+def _skewed_slices(rng: np.random.Generator, n_slices: int, pool: int):
+    """Slices that cross the fold's hand-over to its plain-float tail.
+
+    Each slice opens 1 to ``3 * _TAIL_WIDTH`` flows from a pool of
+    ``pool`` keys (so flows stay resident across slices, and fresh ones
+    come in), with cubed-uniform lengths of 1 to 60 packets, interleaved:
+    wide slices run vectorized steps first and leave the long flows to
+    the tail mid-flow, narrow ones go to the tail at step 0.  Ingress
+    stamps mostly advance by under 10 ms, now and then by just under or
+    over half the 32-bit period, or step back a little: stamps wrap, and
+    both differencing modes see negative gaps.  Returns records and cuts.
+    """
+    width = flow_table._TAIL_WIDTH
+    slices = []
+    for _ in range(n_slices):
+        keys = rng.choice(pool, rng.integers(1, 3 * width + 1), replace=False)
+        lengths = 1 + (60 * rng.random(keys.shape[0]) ** 3).astype(np.int64)
+        slices.append(rng.permutation(np.repeat(keys, lengths)))
+    flows = np.concatenate(slices)
+    cuts = np.cumsum([s.shape[0] for s in slices])[:-1].tolist()
+    n = flows.shape[0]
+    step = rng.integers(0, 10**7, n)
+    jump = rng.random(n)
+    half, back = jump < 0.06, jump > 0.94
+    step[half] = 2**31 + rng.integers(-10**6, 10**6, half.sum())
+    step[back] = 2**32 - rng.integers(1, 10**6, back.sum())
+    rec = np.zeros(n, dtype=REPORT_DTYPE)
+    rec["src_ip"] = 1 + flows
+    rec["dst_ip"] = 0x0A000001
+    rec["src_port"] = 1000
+    rec["dst_port"] = 80
+    rec["protocol"] = 6
+    rec["ts_report"] = np.cumsum(rng.integers(1, 10**6, n))
+    rec["ingress_ts"] = np.cumsum(step) % 2**32
+    rec["length"] = rng.integers(40, 1500, n)
+    rec["queue_occupancy"] = rng.integers(0, 1000, n)
+    rec["hop_latency"] = rng.integers(0, 10**6, n)
+    return rec, cuts
+
+
 class TestUpdateBatchProperties:
-    @settings(max_examples=40, deadline=None)
+    # Example counts come from the hypothesis profile (tests/conftest.py):
+    # 40 in tier-1, ten times that with ``--hypothesis-profile=deep``.
+    @settings(deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 80),
@@ -443,11 +498,53 @@ class TestUpdateBatchProperties:
         rng = np.random.default_rng(seed)
         records = _random_records(rng, n)
         cuts = rng.integers(0, n + 1, n_cuts).tolist()
-        assert_tables_equal(
-            _scalar_table(records), _batched_table(records, cuts)
-        )
+        assert_fold_matches(records, cuts)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_slices=st.integers(1, 4),
+        pool=st.integers(3 * flow_table._TAIL_WIDTH, 6 * flow_table._TAIL_WIDTH),
+        max_flows=st.one_of(st.none(), st.integers(2, 2 * flow_table._TAIL_WIDTH)),
+    )
+    @example(seed=0, n_slices=3, pool=24, max_flows=None)
+    @example(seed=1, n_slices=3, pool=24, max_flows=6)
+    def test_tail_handover_matches_reference(self, seed, n_slices, pool, max_flows):
+        rng = np.random.default_rng(seed)
+        records, cuts = _skewed_slices(rng, n_slices, pool)
+        assert_fold_matches(records, cuts, max_flows)
+
+    def test_skewed_slices_cross_the_handover(self, monkeypatch):
+        """The drawn streams reach every case the tail handles: a
+        hand-over mid-flow, fresh flows at step 0, per-flow stamps that
+        wrap or step back, and a flow re-created inside a slice under
+        ``max_flows``."""
+        tails, walks = [], []
+        fold_tail, walk = flow_table._fold_tail, FlowTable._walk
+
+        def spy_tail(c, a, j, *args):
+            tails.append((j, bool((c["n_packets"][:a] == 0).any())))
+            return fold_tail(c, a, j, *args)
+
+        def spy_walk(table, batch):
+            out = walk(table, batch)
+            walks.append(len(out[1]) > batch.n_groups)  # a key lived twice
+            return out
+
+        monkeypatch.setattr(flow_table, "_fold_tail", spy_tail)
+        monkeypatch.setattr(FlowTable, "_walk", spy_walk)
+        records, cuts = _skewed_slices(np.random.default_rng(1), 3, 24)
+        table = _batched_table(records, cuts, max_flows=6)
+        assert any(j > 0 for j, _ in tails)
+        assert any(j == 0 and fresh for j, fresh in tails)
+        assert any(walks) and table.evicted > 0
+        by_flow = np.lexsort((np.arange(records.shape[0]), records["src_ip"]))
+        ts = records["ingress_ts"][by_flow].astype(np.int64)
+        same = records["src_ip"][by_flow][1:] == records["src_ip"][by_flow][:-1]
+        assert (naive_delta32(ts[1:], ts[:-1])[same] < -2**31).any()  # wraps
+        assert (delta32_signed(ts[1:], ts[:-1])[same] < 0).any()  # steps back
+
+    @settings(deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 80),
@@ -463,27 +560,20 @@ class TestUpdateBatchProperties:
         rng = np.random.default_rng(seed)
         records = _random_records(rng, n)
         cuts = rng.integers(0, n + 1, 2).tolist()
-        assert_tables_equal(
-            _scalar_table(records, max_flows),
-            _batched_table(records, cuts, max_flows),
-        )
+        assert_fold_matches(records, cuts, max_flows)
 
     def test_single_flow_repeated_in_batch(self):
         rng = np.random.default_rng(0)
         records = _random_records(rng, 32)
         for name in ("src_ip", "dst_ip", "src_port", "dst_port", "protocol"):
             records[name] = records[name][0]
-        assert_tables_equal(
-            _scalar_table(records), _batched_table(records, [])
-        )
+        assert_fold_matches(records, [])
 
     def test_empty_and_singleton_slices(self):
         rng = np.random.default_rng(1)
         records = _random_records(rng, 10)
         cuts = [0, 1, 1, 5, 10]
-        assert_tables_equal(
-            _scalar_table(records), _batched_table(records, cuts)
-        )
+        assert_fold_matches(records, cuts)
 
 
 class TestColumnarTable:

@@ -1,7 +1,7 @@
 """Tests for the packet model and address helpers."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataplane.packet import (
@@ -32,6 +32,7 @@ class TestAddressConversion:
             ip_str(2**32)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100)
     def test_roundtrip_property(self, addr):
         assert ip(ip_str(addr)) == addr
 
