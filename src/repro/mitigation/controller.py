@@ -2,24 +2,23 @@
 
 The paper stops at detection; its cited blueprint (Flood Defender [17],
 the P4/5G IDS [20]) and the Ryu-style SDN demos stop at "push a rule to
-the switch".  What a production loop additionally needs — and what this
-module provides on top of the PR-5 supervised sharded runtime — is a
-mitigation subsystem whose *state survives process death* and whose
-*decisions are reproducible* for any worker count:
+the switch".  On top of the supervised sharded runtime, this module
+adds a mitigation subsystem whose *state survives process death* and
+whose *decisions are reproducible* for any worker count:
 
-* :class:`ThresholdRule` / :class:`RulesEngine` — per-rule PPS/BPS/
-  packet-count thresholds with AND/OR predicate combination, temporary
-  (auto-expiring) or permanent actions, drop vs token-bucket rate
-  limit, flow- or source-scoped;
+* :class:`ThresholdRule` / :class:`RulesEngine` — PPS/BPS/packet-count
+  thresholds joined by AND/OR, temporary or permanent, drop vs
+  token-bucket rate limit, flow- or source-scoped.  One predicate,
+  :meth:`ThresholdRule.matches`, serves scalars and columns;
+  :meth:`RulesEngine.fires` evaluates a cycle's flagged rows at once;
 * :class:`BlockTable` — the durable enforcement state: active blocks
   keyed by canonical target, TTL deadlines, per-entry token buckets
-  (time injected — simulation/telemetry timestamps only, never the
-  wall clock), idempotent install/refresh, operator unblock;
+  fed with telemetry timestamps only, idempotent install/refresh;
 * :class:`Whitelist` — prefix-based precedence: whitelisted sources are
   never blocked, only counted;
 * :class:`MitigationController` — consumes the detector's stored
   predictions (flow tier) and AlertManager episodes (episode tier, via
-  :class:`repro.controlplane.bridge.EpisodeBridge`), maintains the
+  :class:`repro.controlplane.bridge.EpisodeBridge`), keeps the
   canonical **action log**, answers the operator JSON command API
   (``get_config`` / ``set_config`` / ``stats`` / ``blocked_list`` /
   ``unblock`` / ``activity_feed``), and snapshots/restores all of it
@@ -27,38 +26,38 @@ mitigation subsystem whose *state survives process death* and whose
 
 Determinism contract (the action-log digest)
 --------------------------------------------
-:func:`action_log_digest` is the mitigation counterpart of
-``prediction_log_digest``: SHA-256 over the canonically-ordered
-:class:`MitigationAction` records.  It must be byte-identical across
-worker counts, clean and under telemetry chaos + worker-kill.  Two
-design rules make that hold:
+:func:`action_log_digest` (SHA-256 over the canonically ordered
+:class:`MitigationAction` records) is byte-identical across worker
+counts, clean and under telemetry chaos + worker-kill, because:
 
 * **flow tier** actions are a pure function of the triggering
   prediction entry plus *flow-local* state (the flow's own record
   metrics and this flow's previous emissions).  Sharding partitions by
   canonical flow key, so flow-local state is always worker-local;
-  cross-flow suppression is deliberately absent from the canonical log
-  (duplicate same-source actions are emitted and deduplicated
-  *idempotently* at the block table instead).
+  duplicate same-source actions from different flows are emitted and
+  deduplicated *idempotently* at the block table;
 * **episode tier** actions are derived from the globally merged,
   ``(seq, key)``-sorted prediction log at end of run — the identical
   input sequence for every worker count.
 
-Wall-clock never enters: every timestamp in the subsystem is the
-telemetry time of the evidence.
+Wall-clock never enters: every timestamp is the evidence's telemetry time.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
+from functools import reduce
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.database import KEY_FIELDS, PredictionEntry, PredictionLog
 from repro.features.flow_record import FEATURE_ORDER
 
 from .enforcement import AclTable
-from .rules import FlowRule, RuleAction
+from .rules import FlowRule, RuleAction, _prefix_mask
 
 __all__ = [
     "ThresholdRule",
@@ -88,6 +87,27 @@ PERMANENT = -1
 # ---------------------------------------------------------------------------
 # configuration: threshold rules + whitelist
 # ---------------------------------------------------------------------------
+def _check_number(where: str, value: Any, *, optional: bool = False,
+                  integral: bool = False, positive: bool = False) -> None:
+    """Reject a JSON config value of the wrong type or out of int64 range."""
+    if value is None and optional:
+        return
+    if (isinstance(value, bool)
+            or not isinstance(value, int if integral else (int, float))
+            or not (0 < value if positive else 0 <= value)
+            or not value < 2**63):
+        raise ValueError(f"{where} must be a number {'>' if positive else '>='} 0 "
+                         f"and below 2**63: {value!r}")
+
+
+def _known_keys(cls: Any, d: Dict[str, Any]) -> Dict[str, Any]:
+    """``d``, with an unknown (misspelt) field an error, never dropped."""
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    return dict(d)
+
+
 @dataclass(frozen=True)
 class ThresholdRule:
     """One configurable detection→action rule.
@@ -113,118 +133,80 @@ class ThresholdRule:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("rule needs a name")
-        if self.combine not in ("and", "or"):
-            raise ValueError(f"combine must be 'and' or 'or': {self.combine!r}")
-        if self.scope not in ("flow", "source"):
-            raise ValueError(f"scope must be 'flow' or 'source': {self.scope!r}")
-        if self.action not in ("block", "rate_limit"):
-            raise ValueError(
-                f"action must be 'block' or 'rate_limit': {self.action!r}"
-            )
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"rule needs a name: {self.name!r}")
+        where = f"rule {self.name!r}:"
+        for name in ("pps_above", "bps_above"):
+            _check_number(f"{where} {name}", getattr(self, name), optional=True)
+        _check_number(f"{where} packets_above", self.packets_above,
+                      optional=True, integral=True)
+        _check_number(f"{where} rate_pps", self.rate_pps)
+        _check_number(f"{where} ttl_ns", self.ttl_ns, optional=True,
+                      integral=True, positive=True)
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"{where} enabled must be a bool: {self.enabled!r}")
+        for name, allowed in (("combine", ("and", "or")),
+                              ("scope", ("flow", "source")),
+                              ("action", ("block", "rate_limit"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{where} {name} must be one of {allowed}: "
+                                 f"{getattr(self, name)!r}")
         if self.action == "rate_limit" and self.rate_pps <= 0:
             raise ValueError("rate_limit rules need rate_pps > 0")
-        if self.ttl_ns is not None and self.ttl_ns <= 0:
-            raise ValueError(f"ttl_ns must be positive or None: {self.ttl_ns}")
 
-    def matches(self, pps: float, bps: float, packets: int) -> bool:
-        """Evaluate the defined predicates against flow metrics."""
-        if not self.enabled:
-            return False
-        checks: List[bool] = []
+    def matches(self, pps: Any, bps: Any, packets: Any) -> Any:
+        """Evaluate the defined predicates on flow metrics: scalars give a
+        bool, equal-length arrays a mask (or ``False`` if it cannot fire)."""
+        checks = []
         if self.pps_above is not None:
             checks.append(pps > self.pps_above)
         if self.bps_above is not None:
             checks.append(bps > self.bps_above)
         if self.packets_above is not None:
             checks.append(packets > self.packets_above)
-        if not checks:
+        if not self.enabled or not checks:
             return False
-        return all(checks) if self.combine == "and" else any(checks)
+        return reduce(operator.and_ if self.combine == "and" else operator.or_,
+                      checks)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "pps_above": self.pps_above,
-            "bps_above": self.bps_above,
-            "packets_above": self.packets_above,
-            "combine": self.combine,
-            "scope": self.scope,
-            "action": self.action,
-            "rate_pps": self.rate_pps,
-            "ttl_ns": self.ttl_ns,
-            "enabled": self.enabled,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "ThresholdRule":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        return cls(**_known_keys(cls, d))
 
 
 class RulesEngine:
-    """Ordered evaluation of :class:`ThresholdRule` entries.
+    """Column evaluation of :class:`ThresholdRule` entries.
 
     Every enabled matching rule fires (the controller deduplicates per
     flow/rule); rule order only affects the order actions are appended,
     and the canonical digest sorts, so order is cosmetic.
     """
 
+    #: Below this many rows numpy's fixed per-call cost exceeds the work.
+    FEW_ROWS = 16
+
     def __init__(self, rules: Sequence[ThresholdRule]) -> None:
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names: {names}")
         self.rules: Tuple[ThresholdRule, ...] = tuple(rules)
-        # Pre-compile each live rule to a specialized predicate closure
-        # — evaluate() runs once per stored prediction, so the generic
-        # matches() walk is too slow for the hot path.
-        compiled = []
-        for r in self.rules:
-            fn = self._compile(r)
-            if fn is not None:
-                compiled.append((r, fn))
-        self._compiled: Tuple[Tuple[ThresholdRule, Any], ...] = tuple(compiled)
 
-    @staticmethod
-    def _compile(rule: ThresholdRule) -> Optional[Any]:
-        """Specialized ``(pps, bps, packets) -> bool`` for one rule, or
-        ``None`` if the rule can never match (disabled / no predicates).
-        Semantics identical to :meth:`ThresholdRule.matches`."""
-        if not rule.enabled:
-            return None
-        preds = []
-        if rule.pps_above is not None:
-            t = rule.pps_above
-            preds.append(lambda pps, bps, pk, _t=t: pps > _t)
-        if rule.bps_above is not None:
-            t = rule.bps_above
-            preds.append(lambda pps, bps, pk, _t=t: bps > _t)
-        if rule.packets_above is not None:
-            t = rule.packets_above
-            preds.append(lambda pps, bps, pk, _t=t: pk > _t)
-        if not preds:
-            return None
-        if len(preds) == 1:
-            return preds[0]
-        if rule.combine == "and":
-            def all_of(pps, bps, pk, _preds=tuple(preds)):
-                for p in _preds:
-                    if not p(pps, bps, pk):
-                        return False
-                return True
-            return all_of
-
-        def any_of(pps, bps, pk, _preds=tuple(preds)):
-            for p in _preds:
-                if p(pps, bps, pk):
-                    return True
-            return False
-        return any_of
-
-    def evaluate(
-        self, pps: float, bps: float, packets: int
-    ) -> List[ThresholdRule]:
-        return [r for r, fn in self._compiled if fn(pps, bps, packets)]
+    def fires(self, metrics: Any) -> List[List[bool]]:
+        """The (rows × rules) mask, a list of booleans per row in :attr:`rules`
+        order, of ``(pps, bps, packets)`` rows (a float array, or tuples).
+        From :attr:`FEW_ROWS` rows on each :meth:`ThresholdRule.matches` runs
+        once over the columns; below, once per row on Python floats."""
+        if len(metrics) < self.FEW_ROWS:
+            rows = metrics.tolist() if isinstance(metrics, np.ndarray) else metrics
+            return [[rule.matches(*row) for rule in self.rules] for row in rows]
+        pps, bps, packets = np.asarray(metrics, dtype=np.float64).T
+        mask = np.empty((len(pps), len(self.rules)), dtype=bool)
+        for j, rule in enumerate(self.rules):
+            mask[:, j] = rule.matches(pps, bps, packets)
+        return mask.tolist()
 
 
 class Whitelist:
@@ -236,21 +218,15 @@ class Whitelist:
     """
 
     def __init__(self, entries: Iterable[Tuple[int, int]] = ()) -> None:
-        norm: List[Tuple[int, int]] = []
-        for base, bits in entries:
-            bits = int(bits)
-            if not 0 <= bits <= 32:
-                raise ValueError(f"prefix length out of range: {bits}")
-            mask = 0 if bits == 0 else (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
-            norm.append((int(base) & mask, bits))
-        self.entries: Tuple[Tuple[int, int], ...] = tuple(norm)
+        masks = [(int(base), _prefix_mask(int(bits))) for base, bits in entries]
+        #: ``(base & mask, mask)`` per prefix, masks computed once.
+        self.prefixes: Tuple[Tuple[int, int], ...] = tuple(
+            (base & mask, mask) for base, mask in masks
+        )
 
     def covers(self, ip: int) -> bool:
-        for base, bits in self.entries:
-            mask = 0 if bits == 0 else (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
-            if (int(ip) & mask) == base:
-                return True
-        return False
+        ip = int(ip)
+        return any((ip & mask) == base for base, mask in self.prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +354,13 @@ class BlockTable:
         )
         for e in dead:
             del self.entries[e.target]
-        live = [
-            e.expires_ns for e in self.entries.values()
-            if e.expires_ns is not None
-        ]
-        self._next_expiry_ns = min(live) if live else None
+        self._rescan_expiry()
         return dead
+
+    def _rescan_expiry(self) -> None:
+        """Set the expiry fast-path bound to the exact earliest deadline."""
+        live = [e.expires_ns for e in self.entries.values() if e.expires_ns is not None]
+        self._next_expiry_ns = min(live, default=None)
 
     def unblock(self, target: Tuple[Any, ...]) -> bool:
         return self.entries.pop(target, None) is not None
@@ -407,21 +384,10 @@ class BlockTable:
 
     def state_restore(self, state: dict) -> None:
         self.burst = float(state["burst"])
-        self.entries = {}
-        for d in state["entries"]:
-            target = tuple(d["target"])
-            self.entries[target] = BlockEntry(
-                target=target, rule=d["rule"], action=d["action"],
-                rate_pps=d["rate_pps"], installed_ns=d["installed_ns"],
-                expires_ns=d["expires_ns"], seq=d["seq"], hits=d["hits"],
-                shed=d["shed"], refreshes=d["refreshes"],
-                tokens=d["tokens"], last_ns=d["last_ns"],
-            )
-        live = [
-            e.expires_ns for e in self.entries.values()
-            if e.expires_ns is not None
-        ]
-        self._next_expiry_ns = min(live) if live else None
+        restored = (BlockEntry(**{**d, "target": tuple(d["target"])})
+                    for d in state["entries"])
+        self.entries = {e.target: e for e in restored}
+        self._rescan_expiry()
 
 
 class ActivityRing:
@@ -551,38 +517,39 @@ class MitigationConfig:
     episode_rate_pps: float = 100.0
     episode_ttl_ns: Optional[int] = 120_000_000_000
 
+    def __post_init__(self) -> None:
+        _check_number("burst", self.burst, positive=True)
+        _check_number("activity_capacity", self.activity_capacity,
+                      integral=True, positive=True)
+        _check_number("episode_rate_pps", self.episode_rate_pps, positive=True)
+        _check_number("episode_ttl_ns", self.episode_ttl_ns, optional=True,
+                      integral=True, positive=True)
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rules": [r.to_dict() for r in self.rules],
-            "whitelist": [list(w) for w in self.whitelist],
-            "burst": self.burst,
-            "activity_capacity": self.activity_capacity,
-            "episode_rate_pps": self.episode_rate_pps,
-            "episode_ttl_ns": self.episode_ttl_ns,
-        }
+        return {**asdict(self), "rules": [r.to_dict() for r in self.rules],
+                "whitelist": [list(w) for w in self.whitelist]}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "MitigationConfig":
-        kw: Dict[str, Any] = {}
+        kw = _known_keys(cls, d)
         if "rules" in d:
             kw["rules"] = tuple(
                 r if isinstance(r, ThresholdRule) else ThresholdRule.from_dict(r)
                 for r in d["rules"]
             )
         if "whitelist" in d:
-            kw["whitelist"] = tuple(
-                (int(b), int(p)) for b, p in d["whitelist"]
-            )
-        for k in ("burst", "activity_capacity", "episode_rate_pps",
-                  "episode_ttl_ns"):
-            if k in d:
-                kw[k] = d[k]
+            kw["whitelist"] = tuple((int(b), int(p)) for b, p in d["whitelist"])
         return cls(**kw)
 
 
 def build_controller(config: Dict[str, Any]) -> "MitigationController":
     """Module-level factory for shard workers (picklable by reference)."""
     return MitigationController(MitigationConfig.from_dict(config))
+
+
+def _due(deadline: Optional[int], now: int) -> bool:
+    """An emit is due: none on record (0), or its deadline (None: never) passed."""
+    return deadline == 0 or (deadline is not None and now >= deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +580,8 @@ class MitigationController:
         config: Optional[MitigationConfig] = None,
         tables: Iterable[AclTable] = (),
     ) -> None:
-        self.config = config if config is not None else MitigationConfig()
+        self._adopt(config if config is not None else MitigationConfig())
         self.tables: List[AclTable] = list(tables)
-        self.engine = RulesEngine(self.config.rules)
-        self.whitelist = Whitelist(self.config.whitelist)
         self.blocks = BlockTable(burst=self.config.burst)
         self.activity = ActivityRing(self.config.activity_capacity)
         self.action_log: List[MitigationAction] = []
@@ -632,17 +597,11 @@ class MitigationController:
         self._flow_pos = 0
         self._lossy_recoveries = 0
         self._last_ts_ns = 0
-        # Derived caches (pure functions of durable state; never
-        # checkpointed, cleared when the inputs change):
-        # flow key -> the three block-table targets its packets match, as
-        # a tuple of int tuples (the collector untracks those).
-        self._targets_memo: Dict[tuple, Tuple[Tuple[Any, ...], ...]] = {}
-        # flow key -> consolidated no-op horizon, present only once
-        # EVERY compiled rule has emitted for the flow: None = all
-        # permanent (skip forever), int = earliest re-emit deadline
-        # (skip until then).  Exact — until that instant the rule loop
-        # is a guaranteed no-op, so skipping cannot change the log.
-        self._flow_next: Dict[tuple, Optional[int]] = {}
+
+    def _adopt(self, config: MitigationConfig) -> None:
+        """Switch to ``config`` whole, or raise and keep the current one."""
+        engine, whitelist = RulesEngine(config.rules), Whitelist(config.whitelist)
+        self.config, self.engine, self.whitelist = config, engine, whitelist
 
     # ------------------------------------------------------------------
     # wiring
@@ -690,28 +649,16 @@ class MitigationController:
         ip_a, ip_b, port_a, port_b, _proto = key
         return int(ip_b) if port_a <= port_b else int(ip_a)
 
-    @staticmethod
-    def _service_of(key: tuple) -> Tuple[int, int, int]:
+    def _enforcement_targets(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
+        """Every block-table target this flow's packets would match: the
+        flow, its attacker and its service (the lower-port side, as in
+        :meth:`_attacker_of`)."""
         ip_a, ip_b, port_a, port_b, proto = key
         if port_a <= port_b:
-            return (int(ip_a), int(port_a), int(proto))
-        return (int(ip_b), int(port_b), int(proto))
-
-    def _enforcement_targets(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
-        """Every block-table target this flow's packets would match."""
-        return (
-            ("flow",) + tuple(int(v) for v in key),
-            ("source", self._attacker_of(key)),
-            ("service",) + self._service_of(key),
-        )
-
-    def _targets_for(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
-        t = self._targets_memo.get(key)
-        if t is None:
-            if len(self._targets_memo) > 65536:
-                self._targets_memo.clear()
-            t = self._targets_memo[key] = self._enforcement_targets(key)
-        return t
+            return (("flow",) + key, ("source", ip_b),
+                    ("service", ip_a, port_a, proto))
+        return (("flow",) + key, ("source", ip_a),
+                ("service", ip_b, port_b, proto))
 
     def _account(self, key: tuple, now_ns: int) -> None:
         """Shadow enforcement accounting: would this packet have been
@@ -719,7 +666,7 @@ class MitigationController:
         of the canonical log (source/service blocks are not visible to
         sibling shards mid-run)."""
         entries = self.blocks.entries
-        for target in self._targets_for(key):
+        for target in self._enforcement_targets(key):
             e = entries.get(target)
             if e is None or (
                 e.expires_ns is not None and now_ns >= e.expires_ns
@@ -809,6 +756,11 @@ class MitigationController:
         seen.  Every emitted action is a pure function of the entry and
         its flow's local state (record metrics + emit history), so
         shard placement cannot change the canonical log.
+
+        The rules are evaluated once over the block's flagged rows
+        (:meth:`_fired`); the walk then does, in storage order, only what
+        depends on it: the expiry sweep at the row where a deadline falls
+        due, shadow accounting, and the emit step where a rule fired.
         """
         db = self._db
         if db is None:
@@ -825,88 +777,74 @@ class MitigationController:
             return
         self._flow_pos = log.total
         rows = log.rows[pos - log.base :]
-        # Hot loop over the new rows' columns: local aliases, cheap
-        # checks inline, rare work in helper calls.
-        blocks = self.blocks
-        block_entries = blocks.entries
-        flow_next = self._flow_next
-        account = self._account
-        process = self._process_flagged
-        last = self._last_ts_ns
-        for key, now, final, seq in zip(
-            zip(*(rows[f].tolist() for f in KEY_FIELDS)),
-            rows["ts_registered_ns"].tolist(),
-            rows["final"].tolist(),
-            rows["seq"].tolist(),
-        ):
-            if now > last:
-                last = now
-            if block_entries:
+        keys = list(zip(*(rows[f].tolist() for f in KEY_FIELDS)))
+        stamps = rows["ts_registered_ns"].tolist()
+        seqs = rows["seq"].tolist()
+        flagged = [i for i, final in enumerate(rows["final"].tolist()) if final == 1]
+        fired = iter(self._fired(db.flows, keys, stamps, flagged) if flagged else ())
+        at, mask = next(fired, (-1, None))
+        blocks, entries, account = self.blocks, self.blocks.entries, self._account
+        for i, (key, now) in enumerate(zip(keys, stamps)):
+            if entries:
                 nx = blocks._next_expiry_ns
                 if nx is not None and now >= nx:
                     self._sweep_expired(now)
                 account(key, now)
-            if final == 1:
-                horizon = flow_next.get(key, 0)
-                if horizon == 0 or (horizon is not None and now >= horizon):
-                    self._last_ts_ns = int(last)
-                    process(key, seq, now, horizon)
-        self._last_ts_ns = int(last)
+            if i == at:
+                self._emit_fired(key, seqs[i], now, mask)
+                at, mask = next(fired, (-1, None))
+        self._last_ts_ns = max(self._last_ts_ns, max(stamps))
 
-    def _process_flagged(
-        self, key: tuple, seq: int, now: int, horizon: int
-    ) -> List[MitigationAction]:
-        """Rule evaluation for one flagged prediction (the rare path)."""
-        row = self._db.flows.feature_row(key) if self._db is not None else None
-        if row is None:
-            # Coordinator-side merge replay (no ingest here) or an
-            # evicted flow: the flow tier already ran where the flow
-            # lives.
-            return []
-        pps, bps = row.item(_PPS), row.item(_BPS)
-        out: List[MitigationAction] = []
-        for rule in self.engine.evaluate(pps, bps, int(row.item(_PACKETS))):
-            emit_key = (key, rule.name)
-            deadline = self._flow_emits.get(emit_key, 0)
-            if deadline is None or (deadline != 0 and now < deadline):
-                continue  # already emitted and still covered
-            verdict = "refreshed" if deadline != 0 else "installed"
-            self._flow_emits[emit_key] = (
+    def _fired(
+        self, flows: Any, keys: List[tuple], stamps: List[int], flagged: List[int]
+    ) -> List[Tuple[int, List[bool]]]:
+        """``(row, rule mask)`` of each flagged row on which a rule fires,
+        in row order.  A flow no longer resident (evicted, or the
+        coordinator's merge replay: the flow tier ran on its worker) fires
+        nothing.  Few rows are read one at a time, and one is skipped
+        unread while every rule's last emit for its flow covers its stamp:
+        emits only move deadlines forward, so it cannot emit in the walk."""
+        if len(flagged) < RulesEngine.FEW_ROWS:
+            at, metrics = [], []
+            for i in flagged:
+                if self._covered(keys[i], stamps[i]):
+                    continue
+                row = flows.feature_row(keys[i])
+                if row is not None:
+                    at.append(i)
+                    metrics.append((row.item(_PPS), row.item(_BPS), row.item(_PACKETS)))
+            if not at:
+                return []
+        else:
+            feats, resident = flows.feature_rows([keys[i] for i in flagged])
+            at = np.asarray(flagged)[resident].tolist()
+            metrics = feats[resident][:, (_PPS, _BPS, _PACKETS)]
+        return [(i, m) for i, m in zip(at, self.engine.fires(metrics)) if any(m)]
+
+    def _covered(self, key: tuple, now: int) -> bool:
+        """Whether every rule's last emit for this flow covers ``now``."""
+        for rule in self.engine.rules:
+            if _due(self._flow_emits.get((key, rule.name), 0), now):
+                return False
+        return True
+
+    def _emit_fired(self, key: tuple, seq: int, now: int, mask: List[bool]) -> None:
+        """The emit step for one flagged row: each fired rule emits
+        unless this flow's previous emit for it still covers ``now``."""
+        for rule, fired in zip(self.engine.rules, mask):
+            deadline = self._flow_emits.get((key, rule.name), 0)
+            if not fired or not _due(deadline, now):
+                continue  # no match, or already emitted and still covered
+            self._flow_emits[key, rule.name] = (
                 None if rule.ttl_ns is None else now + rule.ttl_ns
             )
             attacker = self._attacker_of(key)
-            if self.whitelist.covers(attacker):
-                verdict = "whitelisted"
-            target: Tuple[Any, ...] = (
-                ("flow",) + tuple(int(v) for v in key)
-                if rule.scope == "flow" else ("source", attacker)
-            )
-            out.append(self._emit(
-                seq=seq, now_ns=now, tier="flow", rule=rule.name,
-                verdict=verdict, action=rule.action, scope=rule.scope,
-                target=target, ttl_ns=rule.ttl_ns, rate_pps=rule.rate_pps,
-            ))
-        if out or horizon != 0:
-            self._refresh_flow_horizon(key)
-        return out
-
-    def _refresh_flow_horizon(self, key: tuple) -> None:
-        """Recompute the consolidated no-op horizon for one flow.
-
-        Present only when every compiled rule has an emit on record for
-        the flow; then the flow tier provably cannot fire again before
-        the earliest re-emit deadline, and :meth:`on_cycle` may skip
-        the evaluation loop outright until that instant."""
-        emits = self._flow_emits
-        deadlines: List[int] = []
-        for rule, _fn in self.engine._compiled:
-            d = emits.get((key, rule.name), 0)
-            if d == 0:
-                self._flow_next.pop(key, None)
-                return
-            if d is not None:
-                deadlines.append(d)
-        self._flow_next[key] = min(deadlines) if deadlines else None
+            verdict = ("whitelisted" if self.whitelist.covers(attacker)
+                       else "refreshed" if deadline != 0 else "installed")
+            target = ("flow",) + key if rule.scope == "flow" else ("source", attacker)
+            self._emit(seq=seq, now_ns=now, tier="flow", rule=rule.name,
+                       verdict=verdict, action=rule.action, scope=rule.scope,
+                       target=target, ttl_ns=rule.ttl_ns, rate_pps=rule.rate_pps)
 
     # ------------------------------------------------------------------
     # episode tier
@@ -922,9 +860,7 @@ class MitigationController:
         if port == 0:
             # Port sweep: block the probing host.
             attacker = self._attacker_of(entry.key)
-            verdict = (
-                "whitelisted" if self.whitelist.covers(attacker) else "installed"
-            )
+            verdict = "whitelisted" if self.whitelist.covers(attacker) else "installed"
             return self._emit(
                 seq=entry.seq, now_ns=now, tier="episode",
                 rule="episode-sweep-block", verdict=verdict, action="block",
@@ -1029,11 +965,8 @@ class MitigationController:
             if op == "set_config":
                 merged = self.config.to_dict()
                 merged.update(request.get("config", {}))
-                self.config = MitigationConfig.from_dict(merged)
-                self.engine = RulesEngine(self.config.rules)
-                self.whitelist = Whitelist(self.config.whitelist)
+                self._adopt(MitigationConfig.from_dict(merged))
                 self.blocks.burst = float(self.config.burst)
-                self._flow_next.clear()  # horizons assume the old rules
                 self.counters["config_updates"] += 1
                 self.activity.push(
                     self._last_ts_ns, "config",
@@ -1086,18 +1019,11 @@ class MitigationController:
         }
 
     def state_restore(self, state: dict) -> None:
-        self.config = MitigationConfig.from_dict(state["config"])
-        self.engine = RulesEngine(self.config.rules)
-        self.whitelist = Whitelist(self.config.whitelist)
+        self._adopt(MitigationConfig.from_dict(state["config"]))
         self.blocks.state_restore(state["blocks"])
         self.activity.state_restore(state["activity"])
         self.action_log = [
-            MitigationAction(
-                seq=d["seq"], ts_ns=d["ts_ns"], tier=d["tier"], rule=d["rule"],
-                verdict=d["verdict"], action=d["action"], scope=d["scope"],
-                target=tuple(d["target"]), ttl_ns=d["ttl_ns"],
-                rate_pps=d["rate_pps"],
-            )
+            MitigationAction(**{**d, "target": tuple(d["target"])})
             for d in state["actions"]
         ]
         self._flow_emits = {
@@ -1111,6 +1037,3 @@ class MitigationController:
         self._flow_pos = int(state.get("flow_pos", 0))
         self._lossy_recoveries = int(state["lossy_recoveries"])
         self._last_ts_ns = int(state["last_ts_ns"])
-        # Derived caches rebuild lazily against the restored state.
-        self._targets_memo.clear()
-        self._flow_next.clear()

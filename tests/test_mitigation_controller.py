@@ -9,8 +9,10 @@ Covers the pieces the closed loop's determinism contract rests on:
   order, regardless of install/sweep interleaving (hypothesis
   property) — the ``_next_expiry_ns`` fast-path bail must never skip a
   due expiry;
-* the compiled rule predicates are semantically identical to the
-  reference :meth:`ThresholdRule.matches` walk;
+* ``RulesEngine.fires`` on both sides of its few-row switch equals
+  scalar :meth:`ThresholdRule.matches`;
+* the column-evaluated flow tier leaves exactly the state of the
+  per-row walk it replaced (``OracleController``, hypothesis property);
 * controller state survives a checkpoint round-trip bit-identically,
   and tampered/truncated blobs fail loudly (:class:`CheckpointError`);
 * the operator command API works mid-run, and non-canonical operations
@@ -18,6 +20,8 @@ Covers the pieces the closed loop's determinism contract rests on:
 * ``finish_run`` ends in the same state whether or not an episode sink
   makes it sort and replay the prediction log.
 """
+
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -30,17 +34,19 @@ from repro.core.checkpoint import (
     snapshot_detector,
     unpack_state,
 )
-from repro.core.database import PredictionEntry, PredictionLog
+from repro.core.database import KEY_FIELDS, PredictionEntry, PredictionLog
 from repro.features.flow_table import FlowTable
 from repro.mitigation import (
     BlockTable,
+    MitigationAction,
     MitigationConfig,
     MitigationController,
     RulesEngine,
     ThresholdRule,
+    Whitelist,
     action_log_digest,
 )
-from repro.mitigation.controller import PERMANENT
+from repro.mitigation.controller import _BPS, _PACKETS, _PPS, PERMANENT
 
 from .test_batch_equivalence import fold_packet
 from .test_core_database import rows_of
@@ -109,6 +115,257 @@ ONE_RULE = MitigationConfig(
                       ttl_ns=30 * SEC),
     ),
 )
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the flow tier as a per-row walk with compiled rule closures,
+# a per-flow no-op horizon and a per-flow target memo
+# ---------------------------------------------------------------------------
+class CompiledRulesEngine:
+    """Ordered evaluation of :class:`ThresholdRule` entries.
+
+    Every enabled matching rule fires (the controller deduplicates per
+    flow/rule); rule order only affects the order actions are appended,
+    and the canonical digest sorts, so order is cosmetic.
+    """
+
+    def __init__(self, rules: Sequence[ThresholdRule]) -> None:
+        names = [r.name for r in rules]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate rule names: {names}")
+        self.rules: Tuple[ThresholdRule, ...] = tuple(rules)
+        # Pre-compile each live rule to a specialized predicate closure
+        # — evaluate() runs once per stored prediction, so the generic
+        # matches() walk is too slow for the hot path.
+        compiled = []
+        for r in self.rules:
+            fn = self._compile(r)
+            if fn is not None:
+                compiled.append((r, fn))
+        self._compiled: Tuple[Tuple[ThresholdRule, Any], ...] = tuple(compiled)
+
+    @staticmethod
+    def _compile(rule: ThresholdRule) -> Optional[Any]:
+        """Specialized ``(pps, bps, packets) -> bool`` for one rule, or
+        ``None`` if the rule can never match (disabled / no predicates).
+        Semantics identical to :meth:`ThresholdRule.matches`."""
+        if not rule.enabled:
+            return None
+        preds = []
+        if rule.pps_above is not None:
+            t = rule.pps_above
+            preds.append(lambda pps, bps, pk, _t=t: pps > _t)
+        if rule.bps_above is not None:
+            t = rule.bps_above
+            preds.append(lambda pps, bps, pk, _t=t: bps > _t)
+        if rule.packets_above is not None:
+            t = rule.packets_above
+            preds.append(lambda pps, bps, pk, _t=t: pk > _t)
+        if not preds:
+            return None
+        if len(preds) == 1:
+            return preds[0]
+        if rule.combine == "and":
+            def all_of(pps, bps, pk, _preds=tuple(preds)):
+                for p in _preds:
+                    if not p(pps, bps, pk):
+                        return False
+                return True
+            return all_of
+
+        def any_of(pps, bps, pk, _preds=tuple(preds)):
+            for p in _preds:
+                if p(pps, bps, pk):
+                    return True
+            return False
+        return any_of
+
+    def evaluate(
+        self, pps: float, bps: float, packets: int
+    ) -> List[ThresholdRule]:
+        return [r for r, fn in self._compiled if fn(pps, bps, packets)]
+
+
+class OracleController(MitigationController):
+    """The flow tier before its rows were evaluated as columns: every
+    row walked once, each flagged row not under its flow's no-op horizon
+    evaluated on its own.  The column evaluation must leave the same
+    state behind."""
+
+    def __init__(self, config=None, tables=()):
+        super().__init__(config, tables)
+        self._targets_memo = {}
+        self._flow_next = {}
+
+    # Every config change (constructor, set_config, restore) goes
+    # through this attribute, so the oracle recompiles where the walk
+    # it copies did.
+    @property
+    def engine(self):
+        return self._engine
+
+    @engine.setter
+    def engine(self, engine):
+        self._engine = CompiledRulesEngine(engine.rules)
+
+    def command(self, request):
+        out = super().command(request)
+        if request.get("op") == "set_config" and out["ok"]:
+            self._flow_next.clear()  # horizons assume the old rules
+        return out
+
+    @staticmethod
+    def _service_of(key: tuple) -> Tuple[int, int, int]:
+        ip_a, ip_b, port_a, port_b, proto = key
+        if port_a <= port_b:
+            return (int(ip_a), int(port_a), int(proto))
+        return (int(ip_b), int(port_b), int(proto))
+
+    def _enforcement_targets(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
+        """Every block-table target this flow's packets would match."""
+        return (
+            ("flow",) + tuple(int(v) for v in key),
+            ("source", self._attacker_of(key)),
+            ("service",) + self._service_of(key),
+        )
+
+    def _targets_for(self, key: tuple) -> Tuple[Tuple[Any, ...], ...]:
+        t = self._targets_memo.get(key)
+        if t is None:
+            if len(self._targets_memo) > 65536:
+                self._targets_memo.clear()
+            t = self._targets_memo[key] = self._enforcement_targets(key)
+        return t
+
+    def _account(self, key: tuple, now_ns: int) -> None:
+        """Shadow enforcement accounting: would this packet have been
+        dropped/shed by the active blocks?  Counters only — never part
+        of the canonical log (source/service blocks are not visible to
+        sibling shards mid-run)."""
+        entries = self.blocks.entries
+        for target in self._targets_for(key):
+            e = entries.get(target)
+            if e is None or (
+                e.expires_ns is not None and now_ns >= e.expires_ns
+            ):
+                continue
+            if e.action == "block":
+                e.hits += 1
+                self.counters["packets_dropped"] += 1
+            elif not self.blocks.admit(e, now_ns):
+                e.shed += 1
+                self.counters["packets_rate_shed"] += 1
+            else:
+                e.hits += 1
+            return
+
+    def on_cycle(self) -> None:
+        """Flow tier: consume predictions stored since the last cycle.
+
+        Invoked by the mechanism (and shard workers) at every cycle
+        boundary, before the next ingest — so the flow-table state read
+        here is byte-identical to what a per-store hook would have
+        seen.  Every emitted action is a pure function of the entry and
+        its flow's local state (record metrics + emit history), so
+        shard placement cannot change the canonical log.
+        """
+        db = self._db
+        if db is None:
+            return
+        log = db.predictions
+        # The cursor is an *absolute* stream position; sharded workers
+        # trim shipped rows off the front of the resident log, so
+        # resident index = absolute index - log.base.  Trims only ever
+        # happen after this sweep ran over the trimmed rows (worker
+        # order: cycle → on_cycle → ship+trim), so the cursor can never
+        # point below the base.
+        pos = self._flow_pos
+        if pos >= log.total:
+            return
+        self._flow_pos = log.total
+        rows = log.rows[pos - log.base :]
+        # Hot loop over the new rows' columns: local aliases, cheap
+        # checks inline, rare work in helper calls.
+        blocks = self.blocks
+        block_entries = blocks.entries
+        flow_next = self._flow_next
+        account = self._account
+        process = self._process_flagged
+        last = self._last_ts_ns
+        for key, now, final, seq in zip(
+            zip(*(rows[f].tolist() for f in KEY_FIELDS)),
+            rows["ts_registered_ns"].tolist(),
+            rows["final"].tolist(),
+            rows["seq"].tolist(),
+        ):
+            if now > last:
+                last = now
+            if block_entries:
+                nx = blocks._next_expiry_ns
+                if nx is not None and now >= nx:
+                    self._sweep_expired(now)
+                account(key, now)
+            if final == 1:
+                horizon = flow_next.get(key, 0)
+                if horizon == 0 or (horizon is not None and now >= horizon):
+                    self._last_ts_ns = int(last)
+                    process(key, seq, now, horizon)
+        self._last_ts_ns = int(last)
+
+    def _process_flagged(
+        self, key: tuple, seq: int, now: int, horizon: int
+    ) -> List[MitigationAction]:
+        """Rule evaluation for one flagged prediction (the rare path)."""
+        row = self._db.flows.feature_row(key) if self._db is not None else None
+        if row is None:
+            # Coordinator-side merge replay (no ingest here) or an
+            # evicted flow: the flow tier already ran where the flow
+            # lives.
+            return []
+        pps, bps = row.item(_PPS), row.item(_BPS)
+        out: List[MitigationAction] = []
+        for rule in self.engine.evaluate(pps, bps, int(row.item(_PACKETS))):
+            emit_key = (key, rule.name)
+            deadline = self._flow_emits.get(emit_key, 0)
+            if deadline is None or (deadline != 0 and now < deadline):
+                continue  # already emitted and still covered
+            verdict = "refreshed" if deadline != 0 else "installed"
+            self._flow_emits[emit_key] = (
+                None if rule.ttl_ns is None else now + rule.ttl_ns
+            )
+            attacker = self._attacker_of(key)
+            if self.whitelist.covers(attacker):
+                verdict = "whitelisted"
+            target: Tuple[Any, ...] = (
+                ("flow",) + tuple(int(v) for v in key)
+                if rule.scope == "flow" else ("source", attacker)
+            )
+            out.append(self._emit(
+                seq=seq, now_ns=now, tier="flow", rule=rule.name,
+                verdict=verdict, action=rule.action, scope=rule.scope,
+                target=target, ttl_ns=rule.ttl_ns, rate_pps=rule.rate_pps,
+            ))
+        if out or horizon != 0:
+            self._refresh_flow_horizon(key)
+        return out
+
+    def _refresh_flow_horizon(self, key: tuple) -> None:
+        """Recompute the consolidated no-op horizon for one flow.
+
+        Present only when every compiled rule has an emit on record for
+        the flow; then the flow tier provably cannot fire again before
+        the earliest re-emit deadline, and :meth:`on_cycle` may skip
+        the evaluation loop outright until that instant."""
+        emits = self._flow_emits
+        deadlines: List[int] = []
+        for rule, _fn in self.engine._compiled:
+            d = emits.get((key, rule.name), 0)
+            if d == 0:
+                self._flow_next.pop(key, None)
+                return
+            if d is not None:
+                deadlines.append(d)
+        self._flow_next[key] = min(deadlines) if deadlines else None
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +503,28 @@ _rule_st = st.builds(
 
 class TestCompiledRules:
     @given(
-        rule=_rule_st,
-        pps=st.floats(0, 2 * 10**6),
-        bps=st.floats(0, 2 * 10**9),
-        packets=st.integers(0, 2 * 10**6),
+        rules=st.lists(_rule_st, min_size=1, max_size=3),
+        rows=st.lists(
+            st.tuples(st.floats(0, 2 * 10**6), st.floats(0, 2 * 10**9),
+                      st.integers(0, 2 * 10**6)),
+            max_size=2 * RulesEngine.FEW_ROWS,
+        ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_compiled_matches_reference(self, rule, pps, bps, packets):
-        engine = RulesEngine([rule])
-        assert (
-            [r.name for r in engine.evaluate(pps, bps, packets)]
-            == (["r"] if rule.matches(pps, bps, packets) else [])
-        )
+    def test_compiled_matches_reference(self, rules, rows):
+        """``fires`` on both sides of its few-row switch, from a float
+        array or from Python tuples, equals scalar ``matches``."""
+        rules = [
+            ThresholdRule(**{**r.to_dict(), "name": f"r{i}"})
+            for i, r in enumerate(rules)
+        ]
+        engine = RulesEngine(rules)
+        want = [[r.matches(*row) for r in rules] for row in rows]
+        few = RulesEngine.FEW_ROWS - 1
+        for part in (rows, rows[:few]):
+            array = np.array(part, dtype=np.float64).reshape(len(part), 3)
+            assert engine.fires(array) == want[: len(part)]
+            assert engine.fires(part) == want[: len(part)]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -304,6 +571,12 @@ class TestFlowTier:
         assert act.verdict == "whitelisted"
         assert ctrl.blocks.entries == {}  # logged, never installed
         assert ctrl.counters["whitelist_hits"] == 1
+        everyone, one = Whitelist([(0xC0000001, 0)]), Whitelist([(0xC0000001, 32)])
+        assert everyone.prefixes == ((0, 0),)
+        assert one.prefixes == ((0xC0000001, 0xFFFFFFFF),)
+        assert everyone.covers(0) and everyone.covers(0xFFFFFFFF)
+        assert one.covers(0xC0000001)
+        assert not one.covers(0xC0000000) and not one.covers(0xC0000002)
 
     def test_permanent_rule_never_reemits(self):
         cfg = MitigationConfig(rules=(
@@ -330,21 +603,36 @@ class TestFlowTier:
         ctrl.on_cycle()
         assert ctrl.action_log == []
 
-    def test_target_memo_holds_no_lists(self):
-        """Shadow accounting memoizes each flow's enforcement targets as
-        a tuple of int tuples, which the collector untracks — not one
-        list object per flow ever seen."""
-        det, ctrl = self.loop()
+    def test_non_resident_flow_fires_nothing(self):
+        """A flagged row whose flow is not in the table reads no feature
+        row — not even the table's last slot while that slot is live —
+        on both sides of the few-row switch."""
+        det, ctrl = self.loop(MitigationConfig(
+            rules=(ThresholdRule(name="any", packets_above=0),)
+        ))
+        last_slot = np.array([-1])
+        while det.db.flows.features_at(last_slot)[0, _PACKETS] == 0:
+            feed_flow(det, flow_key(100 + len(det.db.flows)), 1, 5000.0)
+        for n in (1, RulesEngine.FEW_ROWS):
+            store(det, *(entry(flow_key(1), j, j) for j in range(n)))
+            ctrl.on_cycle()
+        assert ctrl.action_log == []
+
+    def test_partly_covered_flow_is_still_evaluated(self):
+        """A few-row block skips a flagged row only when every rule's
+        last emit still covers it: a rule whose shorter TTL ran out
+        re-emits while the other rule's block is still live."""
+        det, ctrl = self.loop(MitigationConfig(rules=(
+            ThresholdRule(name="long", pps_above=1.0, ttl_ns=100 * SEC),
+            ThresholdRule(name="short", pps_above=1.0, ttl_ns=SEC),
+        )))
         key = hot_flow(det, 1, ts=0, seq=0)
         ctrl.on_cycle()
-        assert ctrl.blocks.entries  # accounting is on from here
-        for i in range(2, 6):
-            hot_flow(det, i, ts=i * 1000, seq=i)
-        store(det, entry(key, 9000, 9))
+        store(det, entry(key, 2 * SEC, 1))
         ctrl.on_cycle()
-        assert ctrl.counters["packets_dropped"] > 0
-        assert len(ctrl._targets_memo) >= 5
-        assert all(type(t) is tuple for t in ctrl._targets_memo.values())
+        assert [(a.rule, a.verdict) for a in ctrl.action_log] == [
+            ("long", "installed"), ("short", "installed"), ("short", "refreshed"),
+        ]
 
     def test_chunked_on_cycle_equals_one_shot(self):
         """The flow cursor makes cycle granularity irrelevant: any
@@ -366,6 +654,104 @@ class TestFlowTier:
             == build([flows[:2], flows[2:5], flows[5:]])
             == build([[f] for f in flows])
         )
+
+
+# ---------------------------------------------------------------------------
+# column evaluation == the per-row oracle (hypothesis)
+# ---------------------------------------------------------------------------
+@st.composite
+def flow_rules(draw):
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["block", "rate_limit"]))
+        rules.append(ThresholdRule(
+            name=f"rule{i}",
+            pps_above=draw(st.sampled_from([None, 1.0, 40.0, 400.0, 4000.0])),
+            bps_above=draw(st.sampled_from([None, 1e3, 1e5, 1e6])),
+            packets_above=draw(st.sampled_from([None, 0, 2, 5])),
+            combine=draw(st.sampled_from(["and", "or"])),
+            scope=draw(st.sampled_from(["flow", "source"])),
+            action=action,
+            rate_pps=(draw(st.sampled_from([0.5, 5.0, 500.0]))
+                      if action == "rate_limit" else 0.0),
+            ttl_ns=draw(st.one_of(st.none(), st.integers(1, 20 * SEC))),
+            enabled=draw(st.sampled_from([True, True, True, False])),
+        ))
+    return rules
+
+
+@st.composite
+def flow_tier_streams(draw):
+    """Keys ``0..resident-1`` live in the flow table; the rest were
+    never fed (not resident).  Blocks of 1–200 rows (often fewer than
+    24, so both sides of the few-row switch run) with unordered stamps,
+    so TTL deadlines fall due mid-block."""
+    n_keys = draw(st.integers(1, 8))
+    resident = draw(st.integers(0, n_keys))
+    feeds = [
+        (draw(st.integers(1, 6)), draw(st.sampled_from([5.0, 50.0, 500.0, 5000.0])))
+        for _ in range(resident)
+    ]
+    row = st.tuples(st.integers(0, n_keys - 1), st.integers(0, 60 * SEC),
+                    st.sampled_from([1, 1, 0, None]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 24) | st.integers(1, 200))
+        grow = draw(st.lists(st.integers(0, resident - 1), max_size=2)) if resident else []
+        blocks.append((grow, draw(st.lists(row, min_size=size, max_size=size))))
+    spared = draw(st.sets(st.integers(0, n_keys - 1), max_size=2))
+    config = MitigationConfig(
+        rules=tuple(draw(flow_rules())),
+        whitelist=tuple((0xC0000000 + i, 32) for i in spared),
+        burst=draw(st.sampled_from([1.0, 3.0, 20.0])),
+    )
+    change = draw(st.none() | st.tuples(
+        st.integers(0, len(blocks) - 1), flow_rules(),
+        st.sets(st.integers(0, n_keys - 1), max_size=2),
+    ))
+    return feeds, blocks, config, change
+
+
+def flow_tier_state(ctrl):
+    return {
+        "actions": list(ctrl.action_log),
+        "counters": dict(ctrl.counters),
+        "blocks": ctrl.blocks.state_snapshot(),
+        "activity": ctrl.activity.state_snapshot(),
+        "flow_emits": dict(ctrl._flow_emits),
+        "last_ts_ns": ctrl._last_ts_ns,
+    }
+
+
+class TestColumnFlowTier:
+    @given(stream=flow_tier_streams())
+    @settings(deadline=None)
+    def test_column_evaluation_matches_per_row_oracle(self, stream):
+        feeds, blocks, config, change = stream
+        det = StubDetector()
+        for i, (packets, pps) in enumerate(feeds):
+            feed_flow(det, flow_key(i), packets, pps)
+        ctrl = MitigationController(config).attach_to(det)
+        oracle = OracleController(config).attach_to(det)
+        seq = 0
+        for b, (grow, rows) in enumerate(blocks):
+            for i in grow:
+                feed_flow(det, flow_key(i), 2, feeds[i][1])
+            store(det, *(
+                PredictionEntry(flow_key(k), ts, 0, 1, 1, (1,), final, seq=seq + j)
+                for j, (k, ts, final) in enumerate(rows)
+            ))
+            seq += len(rows)
+            if change is not None and change[0] == b:
+                update = {"op": "set_config", "config": {
+                    "rules": [r.to_dict() for r in change[1]],
+                    "whitelist": [[0xC0000000 + i, 32] for i in sorted(change[2])],
+                }}
+                assert ctrl.command(update)["ok"] and oracle.command(update)["ok"]
+            for side in (ctrl, oracle):
+                side.on_cycle()
+                side.on_cycle()  # nothing new: a no-op
+            assert flow_tier_state(ctrl) == flow_tier_state(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +879,26 @@ class TestCommandAPI:
         })
         assert not out["ok"] and "combine" in out["error"]
         assert ctrl.config.to_dict() == before
+
+    @pytest.mark.parametrize("config", [
+        {"brust": 5},
+        {"rules": [{**ONE_RULE.rules[0].to_dict(), "pps_abov": 100.0}]},
+        {"rules": [{**ONE_RULE.rules[0].to_dict(), "pps_above": "fast"}]},
+        {"rules": [{**ONE_RULE.rules[0].to_dict(), "bps_above": float("inf")}]},
+        {"burst": -1},
+        {"activity_capacity": 0},
+        {"episode_ttl_ns": -5},
+        {"episode_rate_pps": 0.0},
+    ], ids=["unknown-key", "misspelt-predicate", "string-threshold",
+            "infinite-threshold", "negative-burst", "zero-activity-capacity",
+            "negative-episode-ttl", "zero-episode-rate"])
+    def test_malformed_config_rejected(self, config):
+        _, ctrl = self.loop()
+        before = ctrl.config.to_dict()
+        out = ctrl.command({"op": "set_config", "config": config})
+        assert not out["ok"], out
+        assert ctrl.command({"op": "get_config"})["result"] == before
+        assert ctrl.counters["config_updates"] == 0
 
     def test_stats_blocked_unblock_activity(self):
         det, ctrl = self.loop()
