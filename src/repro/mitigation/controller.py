@@ -47,9 +47,12 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -396,20 +399,26 @@ class ActivityRing:
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
-        self.capacity = int(capacity)
-        self.events: List[Dict[str, Any]] = []
+        self.events: Deque[Dict[str, Any]] = deque(maxlen=int(capacity))
         self.evicted = 0
 
+    @property
+    def capacity(self) -> int:
+        return self.events.maxlen
+
+    def resize(self, capacity: int) -> None:
+        """Hold at most ``capacity`` events; a shrink evicts the oldest."""
+        self.evicted += max(0, len(self.events) - capacity)
+        self.events = deque(self.events, maxlen=int(capacity))
+
     def push(self, ts_ns: int, kind: str, detail: str) -> None:
+        if len(self.events) == self.capacity:
+            self.evicted += 1
         self.events.append({"ts_ns": int(ts_ns), "kind": kind, "detail": detail})
-        overflow = len(self.events) - self.capacity
-        if overflow > 0:
-            del self.events[:overflow]
-            self.evicted += overflow
 
     def tail(self, limit: int) -> List[Dict[str, Any]]:
         limit = max(1, int(limit))
-        return [dict(e) for e in self.events[-limit:]]
+        return [dict(e) for e in list(self.events)[-limit:]]
 
     def state_snapshot(self) -> dict:
         return {
@@ -419,8 +428,8 @@ class ActivityRing:
         }
 
     def state_restore(self, state: dict) -> None:
-        self.capacity = int(state["capacity"])
-        self.events = [dict(e) for e in state["events"]]
+        self.events = deque((dict(e) for e in state["events"]),
+                            maxlen=int(state["capacity"]))
         self.evicted = int(state["evicted"])
 
 
@@ -967,6 +976,7 @@ class MitigationController:
                 merged.update(request.get("config", {}))
                 self._adopt(MitigationConfig.from_dict(merged))
                 self.blocks.burst = float(self.config.burst)
+                self.activity.resize(self.config.activity_capacity)
                 self.counters["config_updates"] += 1
                 self.activity.push(
                     self._last_ts_ns, "config",

@@ -2,7 +2,8 @@
 
 ``repro`` is loaded here, so tier-1 runs it: a property that names no
 example count (the flow-table fold properties in
-``test_batch_equivalence.py``) runs 40.  ``deep`` runs ten times as
+``test_batch_equivalence.py``, the live-set descent property in
+``test_forest_compiled.py``) runs 40.  ``deep`` runs ten times as
 many::
 
     pytest tests/test_batch_equivalence.py -k UpdateBatch --hypothesis-profile=deep

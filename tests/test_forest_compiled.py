@@ -13,13 +13,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.checkpoint import pack_panel, panel_content_hash, unpack_panel
 from repro.ml import RandomForestClassifier, StandardScaler
 from repro.ml import forest as forest_module
-from repro.ml.forest import _BLOCK_ROWS
+from repro.ml.forest import _BLOCK_ROWS, _FEW_PAIRS
 from repro.ml.tree import _LEAF, DecisionTreeClassifier
 
 
@@ -140,6 +140,45 @@ class TestEquivalence:
         source = inspect.getsource(forest_module)
         assert "tree._apply" not in source
         assert "_padded_tree_values" not in source
+
+
+class TestLiveSetDescent:
+    """The descent steps only the (tree, row) pairs above a leaf.  Deep
+    trees mixed with stumps finish pairs at every compaction point and
+    let the live set empty before the deepest level; the row counts
+    fall on both sides of the few-pair switch and of the block split."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_deep=st.integers(0, 3),
+        n_stumps=st.integers(0, 3),
+        n_features=st.integers(1, 2),
+        n_rows=st.sampled_from([0, 1, 2, 5, 128, _BLOCK_ROWS + 1]),
+    )
+    @example(seed=0, n_deep=0, n_stumps=1, n_features=1, n_rows=0)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_deep_trees_and_stumps(self, seed, n_deep, n_stumps, n_features,
+                                   n_rows):
+        assume(n_deep + n_stumps > 0)
+        assert 6 * 5 < _FEW_PAIRS <= 128  # row counts straddle the switch
+        rng = np.random.default_rng(seed)
+        # Continuous features and shuffled labels: with
+        # min_samples_split=2 a tree splits until its leaves are pure.
+        X = rng.normal(size=(600, n_features))
+        y = rng.permutation(np.arange(600) % 2)
+        forest = RandomForestClassifier(
+            n_estimators=max(n_deep, 1), max_features=None,
+            min_samples_split=2, seed=seed).fit(X, y)
+        stump = DecisionTreeClassifier(min_samples_split=10**6).fit(X, y)
+        trees = forest.estimators_[:n_deep] + [stump] * n_stumps
+        forest.estimators_ = [trees[i] for i in rng.permutation(len(trees))]
+        forest = pickle.loads(pickle.dumps(forest))  # recompiles the table
+        assume(n_deep == 0 or forest._table_.depth >= 15)
+        pool = np.vstack([rng.normal(size=(64, n_features)),
+                          on_threshold_rows(forest, n_features)])
+        Xq = pool[rng.integers(0, len(pool), size=n_rows)]
+        assert_matches_reference(forest, Xq)
+        assert_matches_reference(forest, Xq[:0])
 
 
 class TestPanelIdentity:

@@ -870,6 +870,23 @@ class TestCommandAPI:
         assert ctrl.whitelist.covers(0x0A000001)
         assert ctrl.counters["config_updates"] == 1
 
+    def test_set_config_resizes_the_activity_feed(self):
+        _, ctrl = self.loop()
+        for i in range(5):
+            ctrl.activity.push(i, "note", f"event {i}")
+        out = ctrl.command({"op": "set_config",
+                            "config": {"activity_capacity": 2}})
+        assert out["ok"] and out["result"]["activity_capacity"] == 2
+        assert ctrl.activity.capacity == 2
+        feed = ctrl.command({"op": "activity_feed", "limit": 10})["result"]
+        assert [e["detail"] for e in feed][:1] == ["event 4"]
+        assert [e["kind"] for e in feed] == ["note", "config"]
+        # The shrink evicts three of the five; the config event that
+        # follows pushes out one more.
+        assert ctrl.command({"op": "stats"})["result"]["activity_evicted"] == 4
+        snap = ctrl.activity.state_snapshot()
+        assert snap["capacity"] == 2 and len(snap["events"]) == 2
+
     def test_invalid_config_rejected_atomically(self):
         _, ctrl = self.loop()
         before = ctrl.config.to_dict()
