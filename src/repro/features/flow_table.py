@@ -194,10 +194,11 @@ class FlowTable:
 
     def _release(self, slots: List[int]) -> None:
         """Zero ``slots``' rows and windows, end their lives, free them."""
+        idx = np.asarray(slots, np.int64)
         for col in (*self._cols.values(), self.key_col, self.window_bits,
                     self.window_fill):
-            col[slots] = 0
-        self.incarnation[slots] += 1
+            col[idx] = 0
+        self.incarnation[idx] += 1
         self._free.extend(slots)
 
     # ------------------------------------------------------------------
@@ -414,8 +415,9 @@ class FlowTable:
                 slot_of.move_to_end(keys[g])
             rec_slots.append(slot)
         if born:
-            self.key_col[born] = born_keys
-            self.incarnation[born] += 1
+            idx = np.asarray(born, np.int64)
+            self.key_col[idx] = born_keys
+            self.incarnation[idx] += 1
         self.created += len(born)
         self.evicted += len(victims)
         # ``batch.order`` sorts records by key, then arrival, and a key's
