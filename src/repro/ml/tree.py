@@ -159,7 +159,10 @@ class DecisionTreeClassifier(ClassifierMixin):
             pos = int(np.argmin(weighted))
             if weighted[pos] < best_score - 1e-12:
                 best_score = weighted[pos]
-                thr = 0.5 * (xs_sorted[pos] + xs_sorted[pos + 1])
+                lo, hi = float(xs_sorted[pos]), float(xs_sorted[pos + 1])
+                thr = 0.5 * (lo + hi)
+                if not lo <= thr < hi:  # the midpoint overflowed or rounded to hi
+                    thr = lo
                 best = (int(f), float(thr), parent_gini - weighted[pos])
         if best is None:
             return None

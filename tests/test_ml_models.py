@@ -79,6 +79,16 @@ class TestCommonBehaviour:
             factory().fit(X, y)
 
 
+_ONE = np.nextafter(1.0, 2.0)
+#: Feature columns (labels 0, 1, 0, 1) whose split midpoint is not
+#: strictly between its neighbours: ``a + b`` overflows to +inf, or
+#: ``0.5 * (a + b)`` rounds up to ``b`` for adjacent floats.
+_UNSPLITTABLE_MIDPOINTS = [
+    [1.6e308, 1.7e308, 1.75e308, 1.79e308],
+    [_ONE, np.nextafter(_ONE, 2.0)] * 2,
+]
+
+
 class TestDecisionTree:
     def test_pure_leaf_on_clean_split(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
@@ -112,6 +122,24 @@ class TestDecisionTree:
         y = np.array([0, 1] * 15)
         t = DecisionTreeClassifier().fit(X, y)
         assert t.node_count == 1  # no valid split exists
+
+    @pytest.mark.parametrize("column", _UNSPLITTABLE_MIDPOINTS)
+    def test_threshold_separates_adjacent_values(self, column):
+        X = np.array(column)[:, None]
+        split = DecisionTreeClassifier()._best_split(
+            X, np.eye(2)[[0, 1, 0, 1]], np.arange(4), [0]
+        )
+        thr, left = split[1], split[3]
+        assert np.isfinite(thr)
+        assert left.any() and not left.all()
+
+    @pytest.mark.parametrize("column", _UNSPLITTABLE_MIDPOINTS)
+    def test_fit_returns_on_adjacent_values(self, column):
+        X = np.array(column)[:, None]
+        y = np.array([0, 1, 0, 1])
+        t = DecisionTreeClassifier().fit(X, y)
+        assert np.isfinite(t.threshold_).all()
+        assert t.score(X, y) == 1.0 or len(set(column)) == 2
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
