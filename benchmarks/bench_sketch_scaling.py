@@ -208,9 +208,7 @@ def _ingest_gated(records, gate, table):
         length = chunk["length"].astype(np.float64)
         len_sorted = length[batch.order]
         byts = np.add.reduceat(len_sorted, batch.starts).astype(np.int64)
-        resident = np.fromiter(
-            (k in table for k in batch.keys), dtype=bool, count=batch.n_groups
-        )
+        resident = table.lookup(batch.key_col) >= 0
         admit = gate.admit_slice(
             batch.key_hash, batch.counts, byts, resident, batch.group_ip_a
         )
@@ -340,7 +338,7 @@ def _flow_metrics(db, stream):
         if e.final_decision is not None:
             votes.setdefault(e.key, []).append(e.final_decision)
     correct = attacks = caught = 0
-    for key in batch.keys:
+    for key in map(tuple, batch.key_col.tolist()):
         true = int(80 in (key[2], key[3]))
         v = votes.get(key)
         pred = int(sum(v) * 2 >= len(v)) if v else 0

@@ -67,6 +67,10 @@ RESULT_DTYPE = np.dtype([
 
 #: The flow-key columns of :data:`RESULT_DTYPE`, in key order.
 KEY_FIELDS = ("k0", "k1", "k2", "k3", "k4")
+#: :data:`RESULT_DTYPE` seen as its leading key columns, one ``(5,)``
+#: int64 field: ``rows.view(KEY_VIEW)["key"]`` is an ``(n, 5)`` view.
+KEY_VIEW = np.dtype({"names": ["key"], "formats": [(np.int64, 5)], "offsets": [0],
+                     "itemsize": RESULT_DTYPE.itemsize})
 
 _N_PACKETS = FEATURE_ORDER.index("n_packets")
 

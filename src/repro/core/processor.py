@@ -26,7 +26,7 @@ from repro.sketch import SketchGate
 
 from repro.ml.voting import majority_vote
 
-from .database import KEY_FIELDS, RESULT_DTYPE, FlowDatabase
+from .database import KEY_VIEW, RESULT_DTYPE, FlowDatabase
 from .ensemble import SlidingDecision
 
 __all__ = ["DataProcessor"]
@@ -127,9 +127,7 @@ class DataProcessor:
             flows = self.db.flows
             len_sorted = np.asarray(length, dtype=np.float64)[batch.order]
             byts = np.add.reduceat(len_sorted, batch.starts).astype(np.int64)
-            resident = np.fromiter(
-                (k in flows for k in batch.keys), dtype=bool, count=batch.n_groups
-            )
+            resident = flows.lookup(batch.key_col) >= 0
             admit = self.gate.admit_slice(
                 batch.key_hash, batch.counts, byts, resident, batch.group_ip_a
             )
@@ -201,9 +199,7 @@ class DataProcessor:
         n = updates.shape[0]
         block = np.empty(n, dtype=RESULT_DTYPE)
         block["wall_predicted_ns"] = [clock() for _ in range(n)]
-        keys = flows.key_col[slots]
-        for i, field in enumerate(KEY_FIELDS):
-            block[field] = keys[:, i]
+        block.view(KEY_VIEW)["key"] = flows.key_col.take(slots, axis=0)
         for field in ("ts_registered_ns", "wall_registered_ns", "seq"):
             block[field] = updates[field]
         block["label"] = labels

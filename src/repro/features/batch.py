@@ -5,14 +5,14 @@ pass per polled slice: the key columns are canonicalized vectorized
 (:func:`~repro.features.keys.canonical_key_arrays`), packed into two
 integer sort keys, and a single stable ``np.lexsort`` clusters every
 packet of the same flow while preserving arrival order *within* each
-flow.  Everything downstream — the flow-table fold, update registration,
-LRU reordering — consumes the resulting :class:`FlowBatch` view instead
-of re-deriving keys per packet.
+flow.  Everything downstream — the flow-table index and fold, update
+registration, the sketch gate — consumes the resulting
+:class:`FlowBatch` view instead of re-deriving keys per packet.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,29 +35,17 @@ class FlowBatch:
         have consumed them.
     starts, counts : ndarray
         Per-group offsets/lengths into the permuted arrays.
-    keys : list of tuple
-        One canonical five-tuple per group, equal (as Python tuples) to
-        what :func:`~repro.features.keys.canonical_flow_key` returns for
-        any packet of the group.
+    key_col : ndarray (int64, ``(n_groups, 5)``)
+        One canonical five-tuple per group, as the row
+        :func:`~repro.features.keys.canonical_flow_key` returns for any
+        packet of the group.
     key_hash : ndarray (uint64)
         Per-group splitmix64 flow-identity hash
         (:func:`~repro.features.keys.key_hash_packed`) — the value
         behind shard assignment and sketch partition/cell placement.
-    group_ip_a : ndarray (int64)
-        Per-group canonical endpoint-A IP (the lexicographically
-        smaller endpoint); the sketch gate keys residual aggregation by
-        its prefix.
     """
 
-    __slots__ = (
-        "n",
-        "order",
-        "starts",
-        "counts",
-        "keys",
-        "key_hash",
-        "group_ip_a",
-    )
+    __slots__ = ("n", "order", "starts", "counts", "key_col", "key_hash")
 
     def __init__(
         self,
@@ -65,21 +53,26 @@ class FlowBatch:
         order: np.ndarray,
         starts: np.ndarray,
         counts: np.ndarray,
-        keys: List[tuple],
+        key_col: np.ndarray,
         key_hash: np.ndarray,
-        group_ip_a: np.ndarray,
     ) -> None:
         self.n = n
         self.order = order
         self.starts = starts
         self.counts = counts
-        self.keys = keys
+        self.key_col = key_col
         self.key_hash = key_hash
-        self.group_ip_a = group_ip_a
 
     @property
     def n_groups(self) -> int:
-        return len(self.keys)
+        return self.key_hash.shape[0]
+
+    @property
+    def group_ip_a(self) -> np.ndarray:
+        """Per-group canonical endpoint-A IP (the lexicographically
+        smaller endpoint); the sketch gate keys residual aggregation by
+        its prefix."""
+        return self.key_col[:, 0]
 
     def subset(self, keep: np.ndarray) -> Tuple["FlowBatch", np.ndarray]:
         """Compress the batch down to the groups flagged by ``keep``.
@@ -107,15 +100,13 @@ class FlowBatch:
         starts_new = np.concatenate(
             ([0], np.cumsum(counts_new))
         ).astype(np.int64)[:-1]
-        keys_new = [k for k, f in zip(self.keys, keep.tolist()) if f]
         sub = FlowBatch(
             int(counts_new.sum()),
             order_new,
             starts_new,
             counts_new,
-            keys_new,
+            self.key_col[keep],
             self.key_hash[keep],
-            self.group_ip_a[keep],
         )
         return sub, rec_mask
 
@@ -126,7 +117,7 @@ def group_by_flow(ip_a, ip_b, port_a, port_b, proto) -> FlowBatch:
     Arguments are the column arrays returned by
     :func:`~repro.features.keys.canonical_key_arrays` (already
     direction-normalized).  One stable lexsort replaces ``n`` per-packet
-    key constructions + dict probes; tuple keys are built once per
+    key constructions + dict probes; the key columns are taken once per
     *group*.
     """
     n = int(ip_a.shape[0])
@@ -135,10 +126,8 @@ def group_by_flow(ip_a, ip_b, port_a, port_b, proto) -> FlowBatch:
             0,
             np.empty(0, np.int64),
             np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            [],
+            np.empty((0, 5), np.int64),
             np.empty(0, np.uint64),
-            np.empty(0, np.int64),
         )
     # Pack the five columns into two sortable integers: 64 bits of IPs,
     # 40 bits of ports+protocol.
@@ -156,12 +145,8 @@ def group_by_flow(ip_a, ip_b, port_a, port_b, proto) -> FlowBatch:
     counts = ends - starts
 
     reps = order[starts]  # one representative record per group
-    ka, kb = ip_a[reps].tolist(), ip_b[reps].tolist()
-    pa, pb = port_a[reps].tolist(), port_b[reps].tolist()
-    pr = proto[reps].tolist()
-    keys = list(zip(ka, kb, pa, pb, pr))
+    key_col = np.column_stack(
+        [c[reps] for c in (ip_a, ip_b, port_a, port_b, proto)]
+    ).astype(np.int64)
     key_hash = key_hash_packed(k1s[starts], k2s[starts])
-    group_ip_a = (k1s[starts] >> np.uint64(32)).astype(np.int64)
-    return FlowBatch(
-        n, order, starts, counts, keys, key_hash, group_ip_a
-    )
+    return FlowBatch(n, order, starts, counts, key_col, key_hash)

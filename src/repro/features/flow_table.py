@@ -17,8 +17,7 @@ bound.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +30,31 @@ __all__ = ["FlowTable"]
 
 _NS = 1e-9
 _MIN_CAPACITY = 64
+#: A key's index hash: the wrapping dot product of its ``key_col`` row
+#: with these odd multipliers, one product for any number of keys.
+_MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+                 0xD6E8FEB86659FD93, 0xFF51AFD7ED558CCD], np.uint64).view(np.int64)
+#: An index entry: the top 32 bits of the key's hash above its slot.
+_SLOT_MASK = np.uint64(0xFFFFFFFF)
+_HASH_MASK = ~_SLOT_MASK
+#: A ``key_col`` row as one opaque value: rows compare in one step.
+_KEY = np.dtype((np.void, 5 * 8))
+
+
+def _hash_bits(key_col: np.ndarray) -> np.ndarray:
+    """Each key row's index hash with its low 32 bits cleared."""
+    return (key_col @ _MIX).view(np.uint64) & _HASH_MASK
+
+
+#: :data:`STATE_FIELDS` names of the int64 block, then of the float64 one.
+_BLOCKS = [[name for name, kind in STATE_FIELDS if kind is k]
+           for k in (np.int64, np.float64)]
+
+
+def _columns(ints: np.ndarray, floats: np.ndarray) -> Dict[str, np.ndarray]:
+    """Each :data:`STATE_FIELDS` column, in that order, as a block view."""
+    by_name = {**dict(zip(_BLOCKS[0], ints.T)), **dict(zip(_BLOCKS[1], floats.T))}
+    return {name: by_name[name] for name, _ in STATE_FIELDS}
 
 
 def _std(m2: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -90,6 +114,37 @@ def _fold_tail(c, a, j, starts, counts, ts32, now, length, occ, last_gap, wrap_a
         c[name][:a] = col
 
 
+def _walk_records(gid, found, oldest, free, cap, size):
+    """The per-record walk on plain ints: record by record, group ``gid[r]``
+    takes ``free.pop()`` unless resident (``found[g]``, ``-1`` if not),
+    moves to the recent end of the LRU order, and past ``cap`` the least
+    recent flow goes.  ``oldest`` lists the ``min(size, records)`` least
+    recent residents, the only ones an eviction can reach.  Returns each
+    record's slot, the born slots and groups, and the victims in order."""
+    lru = dict.fromkeys(oldest)
+    owner = {s: g for g, s in enumerate(found) if s >= 0}
+    rec_slots, born, born_g, victims = [], [], [], []
+    for g in gid:
+        slot = found[g]
+        if slot < 0:
+            slot = found[g] = free.pop()
+            owner[slot] = g
+            born.append(slot)
+            born_g.append(g)
+            size += 1
+        lru.pop(slot, None)
+        lru[slot] = None
+        if size > cap:
+            victim = next(iter(lru))
+            del lru[victim]
+            victims.append(victim)
+            size -= 1
+            if victim in owner:
+                found[owner.pop(victim)] = -1
+        rec_slots.append(slot)
+    return rec_slots, born, born_g, victims
+
+
 def _feature_block(c: Mapping[str, np.ndarray]) -> np.ndarray:
     """:data:`FEATURE_ORDER` rows of the state columns ``c``: the float64
     operations of :meth:`FlowRecord.feature_row`, column-wise, so every
@@ -113,20 +168,21 @@ def _feature_block(c: Mapping[str, np.ndarray]) -> np.ndarray:
         "bytes_per_second": np.divide(tot, dur, out=np.zeros(len(n)), where=dur > 0),
         "hop_latency": c["hop_latency_s"],
     }
-    out = np.empty((n.shape[0], len(FEATURE_ORDER)))
-    for i, name in enumerate(FEATURE_ORDER):
-        out[:, i] = by_name[name]
-    return out
+    return np.array([by_name[name] for name in FEATURE_ORDER], np.float64).T
 
 
 class FlowTable:
     """Five-tuple → one row of per-flow columns.
 
-    A key → slot ``OrderedDict`` indexes the preallocated columns and
-    carries the LRU order; a free-slot list backs it, and capacity
-    doubles when it runs out.  Every slot also holds its key
-    (``key_col``), its decision window (``window_bits``/``window_fill``)
-    and an ``incarnation`` bumped on allocation and release: a ``(slot,
+    No Python object per flow: the index is a sorted array of one word
+    per flow (its key's hash bits over its slot), and the LRU order the
+    ``touched`` column (records folded up to the flow's last update)
+    with a queue of ``(slot, touched)`` pairs in that order.  State
+    columns are the columns of an int64 and a float64 block.  A
+    free-slot list backs the preallocated slots; capacity doubles when
+    it runs out.  Every slot also holds its key (``key_col``), its
+    decision window (``window_bits``/``window_fill``) and an
+    ``incarnation`` bumped on allocation and release: a ``(slot,
     incarnation)`` handle names one flow life, live while the two match.
 
     Parameters
@@ -165,15 +221,18 @@ class FlowTable:
     # ------------------------------------------------------------------
     def _reset(self, capacity: int) -> None:
         """An empty table of ``capacity`` zeroed slots."""
-        self._slot: "OrderedDict[tuple, int]" = OrderedDict()
-        self._cols: Dict[str, np.ndarray] = {
-            name: np.zeros(capacity, dtype) for name, dtype in STATE_FIELDS
-        }
+        self._index = np.empty(0, np.uint64)
+        self._queue = np.zeros((2 * capacity, 2), np.int64)
+        self._head = self._tail = self._tick = 0
+        self._ints = np.zeros((capacity, len(_BLOCKS[0])), np.int64)
+        self._floats = np.zeros((capacity, len(_BLOCKS[1])))
+        self._cols = _columns(self._ints, self._floats)
         self._feat = np.zeros((capacity, len(FEATURE_ORDER)))
         self.key_col = np.zeros((capacity, 5), np.int64)
         self.window_bits = np.zeros(capacity, np.uint64)
         self.window_fill = np.zeros(capacity, np.uint8)
         self.incarnation = np.zeros(capacity, np.int64)
+        self.touched = np.zeros(capacity, np.int64)
         self._free: List[int] = list(range(capacity - 1, -1, -1))
 
     def _reserve(self, need: int) -> None:
@@ -186,29 +245,98 @@ class FlowTable:
         def grow(col: np.ndarray) -> np.ndarray:
             return np.concatenate((col, np.zeros((extra,) + col.shape[1:], col.dtype)))
 
-        for name, col in self._cols.items():
-            self._cols[name] = grow(col)
-        for name in ("_feat", "key_col", "window_bits", "window_fill", "incarnation"):
+        for name in ("_ints", "_floats", "_feat", "key_col", "window_bits",
+                     "window_fill", "incarnation", "touched"):
             setattr(self, name, grow(getattr(self, name)))
+        self._cols = _columns(self._ints, self._floats)
         self._free[:0] = range(cap + extra - 1, cap - 1, -1)
 
-    def _release(self, slots: List[int]) -> None:
-        """Zero ``slots``' rows and windows, end their lives, free them."""
+    def _release(self, slots: Sequence[int]) -> None:
+        """Zero ``slots``' rows and windows, end their lives, free them;
+        their index entries go stale."""
         idx = np.asarray(slots, np.int64)
-        for col in (*self._cols.values(), self.key_col, self.window_bits,
-                    self.window_fill):
+        for col in (self._ints, self._floats, self.key_col, self.window_bits,
+                    self.window_fill, self.touched):
             col[idx] = 0
         self.incarnation[idx] += 1
-        self._free.extend(slots)
+        self._free.extend(idx.tolist())
+
+    def _insert(self, slots: np.ndarray) -> None:
+        """Index the new ``slots`` (a stable sort merges them in linear
+        time), rebuilding from the live slots once stale entries are the
+        majority."""
+        def entries(s: np.ndarray) -> np.ndarray:
+            return _hash_bits(self.key_col.take(s, axis=0)) | s.astype(np.uint64)
+
+        if self._index.shape[0] > 2 * len(self):
+            self._index = np.sort(entries(np.flatnonzero(self.touched)))
+        self._index = np.concatenate((self._index, entries(slots)))
+        self._index.sort(kind="stable")
+
+    def _find(self, key_col: np.ndarray) -> np.ndarray:
+        """The slot of each key row, ``-1`` where it is not resident: a
+        binary search, each candidate confirmed on its slot's key and an
+        equal-hash run (collisions, stale entries) walked to its end."""
+        idx = self._index
+        out = np.full(key_col.shape[0], -1, np.int64)
+        if not idx.shape[0]:
+            return out
+        rows, want = self.key_col.view(_KEY)[:, 0], key_col.view(_KEY)[:, 0]
+        high = _hash_bits(key_col)
+        pos = np.searchsorted(idx, high)
+        while True:
+            entry = idx.take(pos, mode="clip")
+            slot = (entry & _SLOT_MASK).astype(np.int64)
+            hit = rows.take(slot) == want
+            out = np.where(hit, slot, out)
+            run = (entry & _HASH_MASK) == high
+            run &= ~hit
+            run &= pos < idx.shape[0] - 1
+            if not run.any():
+                return out
+            pos += run
+
+    def _enqueue(self, slots: np.ndarray, ticks: np.ndarray) -> None:
+        """Append ``(slot, touched)`` pairs, ``ticks`` ascending, to the
+        LRU queue, compacted to its live pairs (and grown) when full."""
+        q, m = self._queue, slots.shape[0]
+        if self._tail + m > q.shape[0]:
+            live = q[self._head : self._tail]
+            live = live[self.touched[live[:, 0]] == live[:, 1]]
+            q = np.zeros((max(q.shape[0], 2 * (live.shape[0] + m)), 2), np.int64)
+            q[: live.shape[0]] = live
+            self._queue, self._head, self._tail = q, 0, live.shape[0]
+        q[self._tail : self._tail + m, 0] = slots
+        q[self._tail : self._tail + m, 1] = ticks
+        self._tail += m
+
+    def _oldest(self, k: int) -> np.ndarray:
+        """The ``k`` least recently updated slots: the first ``k`` queue
+        pairs that match their slot's ``touched``."""
+        q = self._queue[self._head : self._tail]
+        w = 2 * k + 64
+        while True:
+            live = self.touched[q[:w, 0]] == q[:w, 1]
+            if w >= q.shape[0] or np.count_nonzero(live) >= k:
+                break
+            w *= 4
+        self._head += int(np.argmax(live)) if live.any() else live.shape[0]
+        return q[:w, 0][live][:k]
 
     # ------------------------------------------------------------------
     # reads (LRU-neutral)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slot)
+        return self.touched.shape[0] - len(self._free)
 
     def __contains__(self, key: tuple) -> bool:
-        return key in self._slot
+        return self.lookup([key])[0] >= 0
+
+    def lookup(self, keys: Any) -> np.ndarray:
+        """The slot of each key, ``-1`` where it is not resident: the one
+        index lookup every reader goes through.  ``keys`` are five-tuples
+        or an ``(n, 5)`` array of key columns (:attr:`FlowBatch.key_col`)."""
+        return self._find(np.ascontiguousarray(keys, np.int64).reshape(-1, 5))
 
     def get(self, key: tuple) -> Optional[FlowRecord]:
         """A decoded copy of a flow's row, **without refreshing its
@@ -223,22 +351,22 @@ class FlowTable:
         sketch admission gate probes residency for every flow in every
         slice) cannot perturb which flows get evicted.
         """
-        slot = self._slot.get(key)
-        if slot is None:
+        slot = int(self.lookup([key])[0])
+        if slot < 0:
             return None
         return FlowRecord(
             key, self.wrap_aware, *[col.item(slot) for col in self._cols.values()]
         )
 
-    def feature_rows(self, keys: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
-        """The :data:`FEATURE_ORDER` rows of ``keys`` as one row take.
+    def feature_rows(self, keys: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """The :data:`FEATURE_ORDER` rows of ``keys`` (five-tuples or an
+        ``(n, 5)`` array of key columns) as one row take.
 
         Returns ``(rows, resident)``; the rows of keys that are not
         resident are garbage, masked by ``resident``.
         """
-        get = self._slot.get
-        slots = np.fromiter((get(k, -1) for k in keys), np.int64, len(keys))
-        return self._feat[slots], slots >= 0
+        slots = self.lookup(keys)
+        return self._feat.take(slots, axis=0), slots >= 0
 
     def features_at(self, slots: np.ndarray) -> np.ndarray:
         """The :data:`FEATURE_ORDER` rows of ``slots``, one row take."""
@@ -248,12 +376,12 @@ class FlowTable:
         """One flow's :data:`FEATURE_ORDER` row — a view into the table,
         current until the next update — or ``None`` if the flow is not
         resident."""
-        slot = self._slot.get(key)
-        return None if slot is None else self._feat[slot]
+        slot = int(self.lookup([key])[0])
+        return None if slot < 0 else self._feat[slot]
 
     def keys(self) -> Iterator[tuple]:
         """Resident flow keys, least recently updated first."""
-        return iter(self._slot)
+        return map(tuple, self.key_col[self._lru_slots()].tolist())
 
     # ------------------------------------------------------------------
     # updates
@@ -315,8 +443,10 @@ class FlowTable:
         # Number of active incarnations at step j: those with count > j.
         cum = np.cumsum(np.bincount(counts, minlength=maxc + 1))
 
-        # -- take each state column once, in the same order ------------
-        c = {name: col[slots_d] for name, col in self._cols.items()}
+        # -- take the state rows once, in the same order ----------------
+        ints = self._ints.take(slots_d, axis=0)
+        floats = self._floats.take(slots_d, axis=0)
+        c = _columns(ints, floats)
         npk_d, tot_d, dur_d = c["n_packets"], c["total_bytes"], c["duration_s"]
         last_ts_d, created_d = c["last_ts32"], c["created_ns"]
         s_mean_d, s_m2_d = c["size_mean"], c["size_m2"]
@@ -369,95 +499,112 @@ class FlowTable:
 
         # -- packet-level values are each incarnation's last record's --
         last = starts_d + counts_d - 1
-        c["updated_ns"] = now_s[last]
-        c["protocol"] = np.asarray(protocol)[o[last]]
-        c["packet_size"] = len_s[last]
-        c["inter_arrival_s"] = last_gap
-        c["queue_occupancy"] = occ_s[last]
-        c["hop_latency_s"] = np.asarray(hop_latency_ns, dtype=np.float64)[o[last]] * _NS
+        c["updated_ns"][:] = now_s[last]
+        c["protocol"][:] = np.asarray(protocol)[o[last]]
+        c["packet_size"][:] = len_s[last]
+        c["inter_arrival_s"][:] = last_gap
+        c["queue_occupancy"][:] = occ_s[last]
+        hop = np.asarray(hop_latency_ns, dtype=np.float64)
+        c["hop_latency_s"][:] = hop[o[last]] * _NS
 
-        # -- put each column back once; refresh the touched features ---
-        for name, col in self._cols.items():
-            col[slots_d] = c[name]
+        # -- put the rows back once; refresh the touched features ------
+        self._ints[slots_d] = ints
+        self._floats[slots_d] = floats
         self._feat[slots_d] = _feature_block(c)
-        if victims:
+        if len(victims):
             self._release(victims)
         return rec_slots, rec_inc
 
     def _walk(
         self, batch: FlowBatch
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int]]:
-        """Per-record insert / move-to-end / evict on the key index, in
-        record order: decides which flows are resident, which
-        are new or re-created, the victims and the final LRU order.  A
-        flow evicted and re-created inside the slice has two lives
-        (*incarnations*) with a slot each.  Returns every record's slot,
-        the incarnations as ``(starts, counts, slots)`` over
-        ``batch.order``, and the victims' slots (reused after the slice)."""
-        gid = np.empty(batch.n, np.int64)
-        gid[batch.order] = np.repeat(np.arange(batch.n_groups), batch.counts)
-        self._reserve(batch.n)
-        slot_of, free, keys = self._slot, self._free, batch.keys
-        cap = self.max_flows
-        rec_slots: List[int] = []
-        born: List[int] = []
-        born_keys: List[tuple] = []
-        victims: List[int] = []
-        for g in gid.tolist():
-            slot = slot_of.get(keys[g])
-            if slot is None:
-                slot = slot_of[keys[g]] = free.pop()
-                born.append(slot)
-                born_keys.append(keys[g])
-                if cap is not None and len(slot_of) > cap:
-                    victims.append(slot_of.popitem(last=False)[1])
-            else:
-                slot_of.move_to_end(keys[g])
-            rec_slots.append(slot)
-        if born:
-            idx = np.asarray(born, np.int64)
-            self.key_col[idx] = born_keys
-            self.incarnation[idx] += 1
-        self.created += len(born)
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
+        """Resident, new and evicted flows of a slice and its LRU order, as
+        per-record insert / move-to-end / evict decides them; a flow
+        evicted and re-created inside the slice has two lives
+        (*incarnations*).  Returns every record's slot, the incarnations
+        as ``(starts, counts, slots)`` over ``batch.order``, and the
+        victims (freed after the slice), oldest first.
+
+        The slice evicts ``E0 = resident + new keys - max_flows`` flows.
+        If it touches none of the ``E0`` least recently updated residents,
+        order inside it decides nothing: those are the victims, each key
+        has one incarnation, and new keys take ``free.pop()`` in order of
+        first arrival — a fixed number of array steps.  Otherwise
+        :func:`_walk_records` replays it.  A flow's ``touched`` becomes its
+        last record's count."""
+        n, order, free, cap = batch.n, batch.order, self._free, self.max_flows
+        self._reserve(n)
+        found = self._find(batch.key_col)
+        missing = np.flatnonzero(found < 0)
+        size = len(self)
+        evict = 0 if cap is None else max(0, size + missing.shape[0] - cap)
+        oldest, replay = found[:0], False
+        if evict:  # does the slice touch the ``evict`` oldest, or evict its own?
+            oldest = self._oldest(min(size, n))
+            hits = self.touched.take(found[found >= 0])
+            replay = evict > size or bool(
+                hits.size and hits.min() <= self.touched[oldest[evict - 1]])
+        if not replay:
+            born_g = missing[np.argsort(order[batch.starts[missing]])]
+            k = len(free) - born_g.shape[0]
+            born = np.array(free[k:][::-1], np.int64)
+            del free[k:]
+            found[born_g] = born
+            victims: Sequence[int] = oldest[:evict]
+            starts, counts, slots = batch.starts, batch.counts, found
+            rec_slots = np.empty(n, np.int64)
+            rec_slots[order] = np.repeat(found, counts)
+        else:
+            gid = np.empty(n, np.int64)
+            gid[order] = np.repeat(np.arange(batch.n_groups), batch.counts)
+            walked, born_l, born_gl, victims = _walk_records(
+                gid.tolist(), found.tolist(), oldest.tolist(), free, cap, size
+            )
+            born, born_g = np.array(born_l, np.int64), np.array(born_gl, np.int64)
+            # ``batch.order`` sorts records by key, then arrival, and a
+            # key's incarnations follow one another: an incarnation
+            # starts wherever the slot changes along it.
+            rec_slots = np.asarray(walked, np.int64)
+            sorted_slots = rec_slots[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1]))
+            )
+            counts = np.diff(np.append(starts, n))
+            slots = sorted_slots[starts]
+        if born.shape[0]:
+            self.key_col[born] = batch.key_col.take(born_g, axis=0)
+            self.incarnation[born] += 1
+            self._insert(born)
+        ticks = self._tick + 1 + order[starts + counts - 1]
+        self.touched[slots] = ticks
+        o = np.argsort(ticks)
+        self._enqueue(slots[o], ticks[o])
+        self._tick += n
+        self.created += born.shape[0]
         self.evicted += len(victims)
-        # ``batch.order`` sorts records by key, then arrival, and a key's
-        # incarnations follow one another: an incarnation starts
-        # wherever the slot changes along it.
-        slots = np.asarray(rec_slots, dtype=np.int64)
-        sorted_slots = slots[batch.order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_slots[1:] != sorted_slots[:-1]))
-        )
-        counts = np.diff(np.append(starts, batch.n))
-        return slots, starts, counts, sorted_slots[starts], victims
+        return rec_slots, starts, counts, slots, victims
 
     def expire_idle(self, now_ns: int) -> int:
         """Evict flows idle longer than ``idle_timeout_ns``; returns count.
 
-        The table is LRU-ordered (every update moves its flow to the
-        back), and update timestamps are non-decreasing in any replayed
-        or live feed, so the scan walks from the least-recently-updated
-        end and stops at the first non-stale flow instead of visiting
-        the whole table.
+        Update timestamps are non-decreasing in any replayed or live
+        feed, so the sweep takes flows least recently updated first and
+        stops at the first non-stale one.
         """
         if self.idle_timeout_ns is None:
             return 0
-        cutoff = now_ns - self.idle_timeout_ns
-        updated = self._cols["updated_ns"]
-        stale = []
-        for key, slot in self._slot.items():
-            if updated[slot] >= cutoff:
-                break
-            stale.append(key)
-        self._release([self._slot.pop(key) for key in stale])
-        self.expired += len(stale)
-        return len(stale)
+        lru = self._lru_slots()
+        fresh = self._cols["updated_ns"][lru] >= now_ns - self.idle_timeout_ns
+        stale = lru[: int(np.argmax(fresh)) if fresh.any() else lru.shape[0]]
+        self._release(stale)
+        self.expired += stale.shape[0]
+        return stale.shape[0]
 
     # ------------------------------------------------------------------
     # checkpoint/restore
     # ------------------------------------------------------------------
     def _lru_slots(self) -> np.ndarray:
-        return np.fromiter(self._slot.values(), np.int64, len(self._slot))
+        return self._oldest(len(self))
 
     def state_snapshot(self) -> dict:
         """Table state as ndarrays and ints: the keys as an ``(n, 5)``
@@ -485,7 +632,7 @@ class FlowTable:
         to its flow's LRU rank at incarnation 1, a dead one to ``(0, -1)``,
         which no slot ever carries."""
         rank = np.zeros(self.incarnation.shape[0], np.int64)
-        rank[self._lru_slots()] = np.arange(len(self._slot))
+        rank[self._lru_slots()] = np.arange(len(self))
         live = self.incarnation[slots] == incarnations
         return np.where(live, rank[slots], 0), np.where(live, 1, -1)
 
@@ -497,15 +644,18 @@ class FlowTable:
         constructs the table with the same recipe the checkpointed one
         used.
         """
-        keys = [tuple(k) for k in state["keys"].tolist()]
-        n = len(keys)
+        keys = np.asarray(state["keys"], np.int64).reshape(-1, 5)
+        n = keys.shape[0]
         self._reset(max(n, _MIN_CAPACITY))
         del self._free[len(self._free) - n :]
-        self._slot.update(zip(keys, range(n)))
+        self.key_col[:n] = keys
+        self._insert(np.arange(n))
+        self.touched[:n] = np.arange(1, n + 1)
+        self._enqueue(np.arange(n), self.touched[:n])
+        self._tick = n
         for name, col in self._cols.items():
             col[:n] = state[name]
         self._feat[:n] = _feature_block({k: col[:n] for k, col in self._cols.items()})
-        self.key_col[:n] = state["keys"]
         self.window_bits[:n] = state["window_bits"]
         self.window_fill[:n] = state["window_fill"]
         self.incarnation[:n] = 1

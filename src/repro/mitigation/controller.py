@@ -56,7 +56,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.database import KEY_FIELDS, PredictionEntry, PredictionLog
+from repro.core.database import KEY_FIELDS, KEY_VIEW, PredictionEntry, PredictionLog
 from repro.features.flow_record import FEATURE_ORDER
 
 from .enforcement import AclTable
@@ -790,7 +790,8 @@ class MitigationController:
         stamps = rows["ts_registered_ns"].tolist()
         seqs = rows["seq"].tolist()
         flagged = [i for i, final in enumerate(rows["final"].tolist()) if final == 1]
-        fired = iter(self._fired(db.flows, keys, stamps, flagged) if flagged else ())
+        fired = iter(self._fired(db.flows, rows, keys, stamps, flagged)
+                     if flagged else ())
         at, mask = next(fired, (-1, None))
         blocks, entries, account = self.blocks, self.blocks.entries, self._account
         for i, (key, now) in enumerate(zip(keys, stamps)):
@@ -805,29 +806,24 @@ class MitigationController:
         self._last_ts_ns = max(self._last_ts_ns, max(stamps))
 
     def _fired(
-        self, flows: Any, keys: List[tuple], stamps: List[int], flagged: List[int]
+        self, flows: Any, rows: np.ndarray, keys: List[tuple], stamps: List[int],
+        flagged: List[int],
     ) -> List[Tuple[int, List[bool]]]:
         """``(row, rule mask)`` of each flagged row on which a rule fires,
         in row order.  A flow no longer resident (evicted, or the
         coordinator's merge replay: the flow tier ran on its worker) fires
-        nothing.  Few rows are read one at a time, and one is skipped
-        unread while every rule's last emit for its flow covers its stamp:
-        emits only move deadlines forward, so it cannot emit in the walk."""
+        nothing.  The flagged rows' key columns are looked up at once; of
+        few rows, one is skipped unread while every rule's last emit for
+        its flow covers its stamp: emits only move deadlines forward, so
+        it cannot emit in the walk."""
         if len(flagged) < RulesEngine.FEW_ROWS:
-            at, metrics = [], []
-            for i in flagged:
-                if self._covered(keys[i], stamps[i]):
-                    continue
-                row = flows.feature_row(keys[i])
-                if row is not None:
-                    at.append(i)
-                    metrics.append((row.item(_PPS), row.item(_BPS), row.item(_PACKETS)))
-            if not at:
+            flagged = [i for i in flagged if not self._covered(keys[i], stamps[i])]
+            if not flagged:
                 return []
-        else:
-            feats, resident = flows.feature_rows([keys[i] for i in flagged])
-            at = np.asarray(flagged)[resident].tolist()
-            metrics = feats[resident][:, (_PPS, _BPS, _PACKETS)]
+        key_col = rows.view(KEY_VIEW)["key"].take(flagged, axis=0)
+        feats, resident = flows.feature_rows(key_col)
+        at = np.asarray(flagged)[resident].tolist()
+        metrics = feats[resident][:, (_PPS, _BPS, _PACKETS)]
         return [(i, m) for i, m in zip(at, self.engine.fires(metrics)) if any(m)]
 
     def _covered(self, key: tuple, now: int) -> bool:

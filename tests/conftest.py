@@ -1,7 +1,7 @@
 """Hypothesis profiles for the test suite.
 
 ``repro`` is loaded here, so tier-1 runs it: a property that names no
-example count (the flow-table fold properties in
+example count (the flow-table fold and index properties in
 ``test_batch_equivalence.py``, the live-set descent property in
 ``test_forest_compiled.py``) runs 40.  ``deep`` runs ten times as
 many::

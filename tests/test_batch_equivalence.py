@@ -313,7 +313,6 @@ class TestBatchedDispatchResilience:
             updates = poll(limit=limit)
             victims = sorted(set(updates["slot"][:3].tolist()))
             for slot in victims:  # simulate flood-pressure eviction
-                flows._slot.pop(tuple(flows.key_col[slot].tolist()))
                 flows._release([slot])
             gone_per_poll.append(int(np.isin(updates["slot"], victims).sum()))
             return updates
@@ -574,6 +573,137 @@ class TestUpdateBatchProperties:
         records = _random_records(rng, 10)
         cuts = [0, 1, 1, 5, 10]
         assert_fold_matches(records, cuts)
+
+
+def _fold_both(reference, table, chunk):
+    """One slice into the reference model, record by record, and into
+    ``table`` through :meth:`FlowTable.update_batch`."""
+    for r in chunk:
+        key = canonical_flow_key(
+            int(r["src_ip"]), int(r["dst_ip"]),
+            int(r["src_port"]), int(r["dst_port"]), int(r["protocol"]),
+        )
+        reference.update(key, int(r["ts_report"]), int(r["ingress_ts"]),
+                         float(r["length"]), int(r["protocol"]),
+                         float(r["queue_occupancy"]), float(r["hop_latency"]))
+    if chunk.shape[0]:
+        table.update_batch(
+            group_by_flow(*canonical_key_arrays(chunk)),
+            chunk["ts_report"].astype(np.int64),
+            chunk["ingress_ts"].astype(np.int64),
+            chunk["length"].astype(np.float64),
+            chunk["protocol"].astype(np.int64),
+            chunk["queue_occupancy"].astype(np.float64),
+            chunk["hop_latency"].astype(np.float64),
+        )
+
+
+def _reference_expire(reference, cutoff):
+    """:meth:`FlowTable.expire_idle` on the reference model: drop flows
+    from the least recently updated end while they are stale."""
+    stale = list(itertools.takewhile(
+        lambda key: reference.records[key].updated_ns < cutoff, reference.records
+    ))
+    for key in stale:
+        del reference.records[key]
+    return len(stale)
+
+
+#: An index hash that keeps only the protocol, shifted into the top
+#: bits: every key of one protocol collides with every other.
+_NARROW_MIX = np.array([0, 0, 0, 0, 1 << 56], np.int64)
+
+
+class TestFlowIndex:
+    """The array index — sorted hash entries, the ``touched`` LRU queue,
+    the vectorised slice rule and its per-record case — against the
+    ``OrderedDict`` of :class:`ReferenceFlowTable`: LRU order, records
+    and counters, and which keys a lookup finds."""
+
+    # Example counts come from the hypothesis profile (tests/conftest.py).
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 160),
+        n_cuts=st.integers(0, 8),
+        max_flows=st.one_of(st.none(), st.integers(1, 40)),
+        narrow=st.booleans(),
+        restore_at=st.one_of(st.none(), st.integers(0, 8)),
+        expire_at=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    # Residents evicted and re-created inside a slice, under colliding
+    # hashes, across a checkpoint round trip and an idle sweep.
+    @example(seed=4, n=40, n_cuts=3, max_flows=3, narrow=True, restore_at=1,
+             expire_at=2)
+    def test_index_matches_reference(self, seed, n, n_cuts, max_flows, narrow,
+                                     restore_at, expire_at):
+        rng = np.random.default_rng(seed)
+        records = _random_records(rng, n)
+        bounds = [0] + sorted(rng.integers(0, n + 1, n_cuts).tolist()) + [n]
+        ts = records["ts_report"].astype(np.int64)
+        timeout = int(ts[n // 2] - ts[0]) + 1
+        with pytest.MonkeyPatch.context() as mp:
+            if narrow:
+                mp.setattr(flow_table, "_MIX", _NARROW_MIX)
+            reference = ReferenceFlowTable(max_flows=max_flows)
+            table = FlowTable(max_flows=max_flows, idle_timeout_ns=timeout)
+            expired = 0
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if i == restore_at:
+                    state = table.state_snapshot()
+                    table = FlowTable(max_flows=max_flows, idle_timeout_ns=timeout)
+                    table.state_restore(state)
+                if i == expire_at:
+                    now = int(ts[max(a - 1, 0)])
+                    swept = _reference_expire(reference, now - timeout)
+                    assert table.expire_idle(now) == swept
+                    expired += swept
+                _fold_both(reference, table, records[a:b])
+            assert_tables_equal(reference, table)
+            assert (len(table), table.expired) == (len(reference.records), expired)
+            keys = list(zip(*(records[f].tolist() for f in
+                              ("src_ip", "dst_ip", "src_port", "dst_port", "protocol"))))
+            keys = [canonical_flow_key(*k) for k in keys]
+            found = table.lookup(keys)
+            assert (found >= 0).tolist() == [k in reference.records for k in keys]
+            assert [tuple(table.key_col[s].tolist()) for s in found[found >= 0]] == \
+                [k for k in keys if k in reference.records]
+
+    def test_new_keys_take_slots_in_arrival_order(self):
+        """New keys pop the free list in order of first arrival, not in
+        the slice's key order."""
+        table = FlowTable()
+        keys = [(9, 0, 0, 0, 6), (3, 0, 0, 0, 6), (9, 0, 0, 0, 6), (5, 0, 0, 0, 6)]
+        batch = group_by_flow(*(np.array(c) for c in zip(*keys)))
+        slots, _ = table.update_batch(batch, [1, 2, 3, 4], [1, 2, 3, 4],
+                                      [64.0] * 4, [6] * 4)
+        assert slots.tolist() == [0, 1, 0, 2]
+
+    def test_both_slice_cases_run(self, monkeypatch):
+        """Under ``max_flows`` the drawn slices reach both cases of the
+        walk: evictions decided in array steps, and slices that touch an
+        old resident replayed record by record."""
+        cases = []
+        walk_records, walk = flow_table._walk_records, FlowTable._walk
+
+        def spy_records(*args):
+            cases[-1] = "records"
+            return walk_records(*args)
+
+        def spy_walk(table, batch):
+            cases.append("arrays")
+            evicted = table.evicted
+            out = walk(table, batch)
+            if table.evicted > evicted:
+                cases[-1] += " evicting"
+            return out
+
+        monkeypatch.setattr(flow_table, "_walk_records", spy_records)
+        monkeypatch.setattr(FlowTable, "_walk", spy_walk)
+        records, cuts = _skewed_slices(np.random.default_rng(1), 8, 24)
+        assert_tables_equal(_scalar_table(records, 12),
+                            _batched_table(records, cuts, max_flows=12))
+        assert "arrays evicting" in cases and "records evicting" in cases
 
 
 class TestColumnarTable:

@@ -143,7 +143,7 @@ def _push(table, dec, pushes):
     for k, _ in pushes:
         if _key(k) not in table:
             fold_packet(table, _key(k), 0, 0, 64.0, 6)
-    slots = np.array([table._slot[_key(k)] for k, _ in pushes], np.int64)
+    slots = table.lookup([_key(k) for k, _ in pushes])
     labels = np.array([lbl for _, lbl in pushes], np.int64)
     return dec.push(table.window_bits, table.window_fill, slots, labels).tolist()
 

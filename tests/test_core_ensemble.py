@@ -67,7 +67,7 @@ class Windows:
     def slot(self, f):
         if key(f) not in self.table:
             fold_packet(self.table, key(f), 0, 0, 64.0, 6)
-        return self.table._slot[key(f)]
+        return int(self.table.lookup([key(f)])[0])
 
     def push_block(self, pushes):
         slots = np.array([self.slot(f) for f, _ in pushes], np.int64)
@@ -81,7 +81,7 @@ class Windows:
         return self.push_block([(f, label)])[0]
 
     def evict(self, f):
-        self.table._release([self.table._slot.pop(key(f))])
+        self.table._release(self.table.lookup([key(f)]))
 
 
 class TestSlidingDecision:
