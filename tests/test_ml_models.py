@@ -139,7 +139,7 @@ class TestDecisionTree:
         y = np.array([0, 1, 0, 1])
         t = DecisionTreeClassifier().fit(X, y)
         assert np.isfinite(t.threshold_).all()
-        assert t.score(X, y) == 1.0 or len(set(column)) == 2
+        assert t.score(X, y) == 1.0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
