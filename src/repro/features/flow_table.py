@@ -273,29 +273,6 @@ class FlowTable:
         self._index = np.concatenate((self._index, entries(slots)))
         self._index.sort(kind="stable")
 
-    def _find(self, key_col: np.ndarray) -> np.ndarray:
-        """The slot of each key row, ``-1`` where it is not resident: a
-        binary search, each candidate confirmed on its slot's key and an
-        equal-hash run (collisions, stale entries) walked to its end."""
-        idx = self._index
-        out = np.full(key_col.shape[0], -1, np.int64)
-        if not idx.shape[0]:
-            return out
-        rows, want = self.key_col.view(_KEY)[:, 0], key_col.view(_KEY)[:, 0]
-        high = _hash_bits(key_col)
-        pos = np.searchsorted(idx, high)
-        while True:
-            entry = idx.take(pos, mode="clip")
-            slot = (entry & _SLOT_MASK).astype(np.int64)
-            hit = rows.take(slot) == want
-            out = np.where(hit, slot, out)
-            run = (entry & _HASH_MASK) == high
-            run &= ~hit
-            run &= pos < idx.shape[0] - 1
-            if not run.any():
-                return out
-            pos += run
-
     def _enqueue(self, slots: np.ndarray, ticks: np.ndarray) -> None:
         """Append ``(slot, touched)`` pairs, ``ticks`` ascending, to the
         LRU queue, compacted to its live pairs (and grown) when full."""
@@ -335,8 +312,32 @@ class FlowTable:
     def lookup(self, keys: Any) -> np.ndarray:
         """The slot of each key, ``-1`` where it is not resident: the one
         index lookup every reader goes through.  ``keys`` are five-tuples
-        or an ``(n, 5)`` array of key columns (:attr:`FlowBatch.key_col`)."""
-        return self._find(np.ascontiguousarray(keys, np.int64).reshape(-1, 5))
+        or an ``(n, 5)`` array of key columns (:attr:`FlowBatch.key_col`).
+
+        A binary search for each key's hash bits; each candidate is
+        confirmed on its slot's key and liveness (a free slot's zeroed key
+        row is a valid key), and an equal-hash run (collisions, stale
+        entries) is walked to its end."""
+        key_col = np.ascontiguousarray(keys, np.int64).reshape(-1, 5)
+        idx = self._index
+        out = np.full(key_col.shape[0], -1, np.int64)
+        if not idx.shape[0]:
+            return out
+        rows, want = self.key_col.view(_KEY)[:, 0], key_col.view(_KEY)[:, 0]
+        high = _hash_bits(key_col)
+        pos = np.searchsorted(idx, high)
+        while True:
+            entry = idx.take(pos, mode="clip")
+            slot = (entry & _SLOT_MASK).astype(np.int64)
+            hit = rows.take(slot) == want
+            hit &= self.touched.take(slot) > 0
+            out = np.where(hit, slot, out)
+            run = (entry & _HASH_MASK) == high
+            run &= ~hit
+            run &= pos < idx.shape[0] - 1
+            if not run.any():
+                return out
+            pos += run
 
     def get(self, key: tuple) -> Optional[FlowRecord]:
         """A decoded copy of a flow's row, **without refreshing its
@@ -534,7 +535,7 @@ class FlowTable:
         last record's count."""
         n, order, free, cap = batch.n, batch.order, self._free, self.max_flows
         self._reserve(n)
-        found = self._find(batch.key_col)
+        found = self.lookup(batch.key_col)
         missing = np.flatnonzero(found < 0)
         size = len(self)
         evict = 0 if cap is None else max(0, size + missing.shape[0] - cap)

@@ -679,6 +679,18 @@ class TestFlowIndex:
                                       [64.0] * 4, [6] * 4)
         assert slots.tolist() == [0, 1, 0, 2]
 
+    def test_all_zero_key_is_not_found_in_a_free_slot(self):
+        """A released slot's key row is zeroed, so the all-zero key
+        equals it; its stale index entry must not make that key resident."""
+        table = FlowTable(max_flows=1)
+        zero, other = (0, 0, 0, 0, 0), (1, 2, 3, 4, 6)
+        for t, key in enumerate((zero, other)):
+            batch = group_by_flow(*(np.array([c]) for c in key))
+            table.update_batch(batch, [t], [t], [64.0], [key[4]])
+        assert zero not in table and table.get(zero) is None
+        assert (table.lookup([zero, other]) >= 0).tolist() == [False, True]
+        assert list(table.keys()) == [other]
+
     def test_both_slice_cases_run(self, monkeypatch):
         """Under ``max_flows`` the drawn slices reach both cases of the
         walk: evictions decided in array steps, and slices that touch an
